@@ -63,6 +63,6 @@ from .corpus import (
     vad_mask_to_alignment_time,
 )
 from .config import PipelineConfig, SynthSpec, config_fingerprint, default_config, load_config
-from .errors import ConsistencyError, DataError
+from .errors import ConsistencyError, DataError, UsageError
 
 __version__ = "0.1.0"

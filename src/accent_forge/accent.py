@@ -287,9 +287,13 @@ def load_model_set(in_dir):
     if not manifest.exists():
         raise DataError(f"{manifest}: model set manifest not found")
     lines = manifest.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(MODELSET_MAGIC):
-        raise DataError(f"{manifest}: not an {MODELSET_MAGIC} manifest")
-    kind = lines[0].split()[1]
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != MODELSET_MAGIC or header[1] not in ("baseline", "vowel"):
+        raise DataError(f"{manifest}: not an {MODELSET_MAGIC} baseline or vowel manifest")
+    kind = header[1]
+    # fields per line, tag included; a subset line needs at least one vowel
+    arity = {"fingerprint": 2, "transform": 3, "tau": 2, "weight": 3,
+             "gmm": 4 if kind == "baseline" else 5}
 
     fingerprint = ""
     transform_ref = None
@@ -301,42 +305,55 @@ def load_model_set(in_dir):
 
     def checked(rel: str, recorded: str) -> Path:
         path = in_dir / rel
+        if not path.is_file():
+            raise DataError(f"{path}: listed in {manifest} but missing")
         actual = _sha256(path)
         if actual != recorded:
             raise ConsistencyError(f"{path}: SHA-256 mismatch (corrupt or substituted file)")
         return path
 
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
         tag = parts[0]
+        where = f"{manifest}, line {lineno}"
+        if len(parts) != arity.get(tag, len(parts)) or (tag == "subset" and len(parts) < 2):
+            raise DataError(f"{where}: wrong number of fields in {tag!r} line: {line!r}")
+        try:
+            value = float(parts[-1]) if tag in ("tau", "weight") else None
+        except ValueError:
+            raise DataError(f"{where}: not a number in {tag!r} line: {line!r}") from None
+
         if tag == "fingerprint":
             fingerprint = "" if parts[1] == "-" else parts[1]
         elif tag == "transform":
             checked(parts[1], parts[2])
             transform_ref = parts[1]
         elif tag == "tau":
-            tau = float(parts[1])
+            tau = value
         elif tag == "subset":
             subset = parts[1:]
         elif tag == "weight":
-            weights[parts[1]] = float(parts[2])
+            weights[parts[1]] = value
         elif tag == "gmm" and kind == "baseline":
-            lab, rel, digest = parts[1], parts[2], parts[3]
+            lab, rel, digest = parts[1:]
             models[lab] = load_gmm(checked(rel, digest))
             labels.append(lab)
         elif tag == "gmm" and kind == "vowel":
-            lab, v, rel, digest = parts[1], parts[2], parts[3], parts[4]
+            lab, v, rel, digest = parts[1:]
             models[(lab, v)] = load_gmm(checked(rel, digest))
             if lab not in labels:
                 labels.append(lab)
         else:
-            raise DataError(f"{manifest}: unrecognized manifest line: {line!r}")
+            raise DataError(f"{where}: unrecognized manifest line: {line!r}")
 
-    if kind == "baseline":
-        return AccentModelSet(labels, models, fingerprint, transform_ref)
-    return VowelModelSet(
-        labels, subset, weights, models,
-        fingerprint=fingerprint, transform_ref=transform_ref, confidence_tau=tau,
-    )
+    try:
+        if kind == "baseline":
+            return AccentModelSet(labels, models, fingerprint, transform_ref)
+        return VowelModelSet(
+            labels, subset, weights, models,
+            fingerprint=fingerprint, transform_ref=transform_ref, confidence_tau=tau,
+        )
+    except ValueError as exc:
+        raise DataError(f"{manifest}: {exc}") from None

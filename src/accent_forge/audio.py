@@ -124,7 +124,8 @@ def frame_signal(audio: AudioBuffer, frame_len_ms: float, hop_ms: float) -> Fram
 
     For len >= frame_len the count is floor((len - frame_len)/hop) + 1 and
     every frame is fully inside the signal; shorter non-empty signals give
-    one zero-padded frame; an empty signal gives no frames.
+    one zero-padded frame; an empty signal gives no frames. The frames are
+    read-only; a signal at least one frame long shares its memory with them.
     """
     if frame_len_ms <= 0 or hop_ms <= 0:
         raise ValueError("frame_len_ms and hop_ms must be positive")
@@ -140,9 +141,8 @@ def frame_signal(audio: AudioBuffer, frame_len_ms: float, hop_ms: float) -> Fram
         frames = np.zeros((1, frame_len))
         frames[0, :n] = x
     else:
-        count = (n - frame_len) // hop + 1
-        idx = np.arange(frame_len)[None, :] + hop * np.arange(count)[:, None]
-        frames = x[idx]
+        frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+    frames.flags.writeable = False
     return FrameSequence(frames, frame_len, hop, sr)
 
 

@@ -14,7 +14,7 @@ import sys
 
 from . import pipeline
 from .config import default_config, load_config
-from .errors import ConsistencyError, DataError
+from .errors import ConsistencyError, DataError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +72,9 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             report = pipeline.cmd_evaluate(args.manifest, cfg, args.out, args.mode)
             print(f"overall accuracy: {report.overall_accuracy:.4f}")
+    except UsageError as exc:
+        print(f"accent-forge: usage error: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"accent-forge: data error: {exc}", file=sys.stderr)
         return 2

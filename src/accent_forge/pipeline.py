@@ -41,7 +41,7 @@ from .corpus import (
     vad_mask_to_alignment_time,
 )
 from .discriminant import LabeledFeatures, LinearTransform, hlda_fit, lda_fit, load_transform, project, save_transform
-from .errors import ConsistencyError, DataError
+from .errors import ConsistencyError, DataError, UsageError
 from .features import (
     FeatureMatrix,
     append_deltas,
@@ -66,7 +66,10 @@ MODES = ("baseline-plp", "baseline-hlda", "vowel-hlda")
 def worker_count() -> int:
     env = os.environ.get("ACCENT_FORGE_WORKERS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"ACCENT_FORGE_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

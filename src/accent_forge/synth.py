@@ -19,6 +19,7 @@ import scipy.signal
 from .audio import AudioBuffer, save_audio
 from .config import SynthSpec
 from .corpus import VOWELS, AlignmentSegment, write_alignment
+from .errors import DataError
 
 # Rough (F1, F2) centers in Hz for each inventory vowel.
 VOWEL_FORMANTS = {
@@ -33,18 +34,28 @@ VOWEL_FORMANTS = {
 GAP_AMPLITUDE = 2e-3
 
 
+# (F1, F2) phase offsets of the shift pattern of accents 1, 2, ...: every
+# pair of offsets over Z3, so no two accents share a pattern.
+ACCENT_OFFSETS = ((2, 1), (1, 2), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2))
+MAX_ACCENTS = len(ACCENT_OFFSETS) + 1
+
+
 def accent_formant_factors(accent_idx: int, vowel_idx: int, shift: float) -> tuple[float, float]:
     """Multiplicative (F1, F2) factors for one accent and vowel.
 
     Accent 0 is the unshifted reference. Other accents raise, lower, or
-    leave each formant alone following a fixed pattern over the vowel index,
-    so every accent pair differs on most vowels while some vowels stay
-    shared.
+    leave each formant alone following a pattern over the vowel index with
+    period 3 and an accent-specific phase, so every accent pair differs on
+    most vowels while some vowels stay shared. There are MAX_ACCENTS
+    distinct patterns; a larger accent index raises ValueError.
     """
+    if not 0 <= accent_idx < MAX_ACCENTS:
+        raise ValueError(f"accent index must be in [0, {MAX_ACCENTS}), got {accent_idx}")
     if accent_idx == 0:
         return 1.0, 1.0
-    u1 = ((vowel_idx + 2 * accent_idx) % 3) - 1
-    u2 = ((vowel_idx + accent_idx) % 3) - 1
+    p1, p2 = ACCENT_OFFSETS[accent_idx - 1]
+    u1 = ((vowel_idx + p1) % 3) - 1
+    u2 = ((vowel_idx + p2) % 3) - 1
     return 1.0 + shift * u1, 1.0 + shift * u2
 
 
@@ -140,6 +151,11 @@ def synthesize_utterance(
 
 def generate_corpus(spec: SynthSpec, seed: int, out_dir) -> Path:
     """Write audio, alignments, and a manifest; returns the manifest path."""
+    if len(spec.accents) > MAX_ACCENTS:
+        raise DataError(
+            f"the synthetic generator has distinct formant patterns for at most "
+            f"{MAX_ACCENTS} accents, got {len(spec.accents)}"
+        )
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     align_dir = out_dir / "align"

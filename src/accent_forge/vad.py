@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, Spectrum, frame_signal, magnitude_spectrum
+from .audio import AudioBuffer, Spectrum, frame_signal
 from .errors import DataError
 
 
@@ -68,12 +68,17 @@ def spectral_centroid(spec: Spectrum) -> float:
     Bin k (k = 1..K, with k=1 the DC bin) is weighted by k + 1, so a single
     active bin k0 yields k0 + 1. An all-zero spectrum returns 0 by convention.
     """
-    mags = spec.magnitudes
-    total = float(np.sum(mags))
-    if total <= 0.0:
-        return 0.0
-    weights = np.arange(2, mags.size + 2, dtype=np.float64)
-    return float(np.sum(weights * mags) / total)
+    return float(_centroids(spec.magnitudes[None, :])[0])
+
+
+def _centroids(mags: np.ndarray) -> np.ndarray:
+    """spectral_centroid of every row of an (n_frames, K) magnitude matrix."""
+    totals = np.sum(mags, axis=1)
+    weighted = np.sum(np.arange(2, mags.shape[1] + 2, dtype=np.float64) * mags, axis=1)
+    out = np.zeros(mags.shape[0])
+    live = totals > 0.0
+    out[live] = weighted[live] / totals[live]
+    return out
 
 
 def median_smooth(values, window: int) -> np.ndarray:
@@ -130,20 +135,12 @@ def estimate_threshold(values, weight: float) -> float:
 
 def _drop_short_runs(keep: np.ndarray, min_frames: int) -> np.ndarray:
     """Zero out kept runs shorter than min_frames frames."""
-    keep = keep.copy()
-    n = keep.size
-    i = 0
-    while i < n:
-        if keep[i]:
-            j = i
-            while j < n and keep[j]:
-                j += 1
-            if j - i < min_frames:
-                keep[i:j] = False
-            i = j
-        else:
-            i += 1
-    return keep
+    edges = np.diff(np.concatenate(([0], keep.astype(np.int8), [0])))
+    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    out = keep.copy()
+    # the kept frames, in order, are exactly the runs laid end to end
+    out[keep] = np.repeat(lengths >= min_frames, lengths)
+    return out
 
 
 def remove_silence(
@@ -171,9 +168,7 @@ def remove_silence(
         mask = SpeechMask(np.zeros(fs.n_frames, dtype=bool), fs.frame_len, fs.hop, fs.sample_rate)
         return AudioBuffer(np.zeros(0), fs.sample_rate), mask, 0.0
 
-    centroid = np.array(
-        [spectral_centroid(magnitude_spectrum(f, fs.sample_rate)) for f in fs.frames]
-    )
+    centroid = _centroids(np.abs(np.fft.rfft(fs.frames, axis=1)))
 
     energy_s = median_smooth(median_smooth(energy, cfg.smooth_window), cfg.smooth_window)
     centroid_s = median_smooth(median_smooth(centroid, cfg.smooth_window), cfg.smooth_window)
@@ -184,9 +179,9 @@ def remove_silence(
     min_frames = int(math.ceil(cfg.min_segment_ms / cfg.hop_ms))
     keep = _drop_short_runs(keep, min_frames)
 
-    hop = fs.hop
-    pieces = [x[i * hop: min(i * hop + hop, x.size)] for i in np.flatnonzero(keep)]
-    speech = np.concatenate(pieces) if pieces else np.zeros(0)
+    # frame i contributes its hop-length slice [i*hop, i*hop + hop), clipped to the signal
+    covered = np.repeat(keep, fs.hop)[: x.size]
+    speech = x[: covered.size][covered]
     rate = float(np.count_nonzero(keep)) / fs.n_frames
     mask = SpeechMask(keep, fs.frame_len, fs.hop, fs.sample_rate)
     return AudioBuffer(speech, fs.sample_rate), mask, rate

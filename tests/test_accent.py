@@ -330,6 +330,43 @@ class TestModelSetSerialization:
         with pytest.raises(DataError):
             load_model_set(tmp_path / "nothing")
 
+    @pytest.mark.parametrize("bad", [
+        "fingerprint",
+        "transform models/t.hlda",
+        "tau",
+        "tau abc",
+        "subset",
+        "weight aa",
+        "weight aa heavy",
+        "gmm A aa models/A_aa.gmm",
+    ])
+    def test_malformed_line_is_data_error(self, tmp_path, bad):
+        out = tmp_path / "vset"
+        save_model_set(out, VowelModelSet(
+            ["A"], ["aa"], {"aa": 1.0}, {("A", "aa"): single_gaussian(0.0)},
+        ))
+        manifest = out / "modelset.txt"
+        lines = manifest.read_text().splitlines()
+        tag = bad.split()[0]
+        # replace the first line with this tag, or append one if there is none
+        at = next((i for i, line in enumerate(lines) if line.split()[0] == tag), len(lines))
+        lines[at: at + 1] = [bad]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"modelset.txt, line {at + 1}: .*{tag}"):
+            load_model_set(out)
+
+    @pytest.mark.parametrize("text", [
+        "ACMSET1 vowel\nfingerprint -\ntau\n",
+        "ACMSET1\nfingerprint -\n",
+        "",
+        "ACMSET1 vowel\nsubset aa\nweight aa 0.5\n",  # weights not a simplex
+        "ACMSET1 baseline\ngmm A models/A.gmm 0000\n",  # listed file missing
+    ])
+    def test_unusable_manifest_is_data_error(self, tmp_path, text):
+        (tmp_path / "modelset.txt").write_text(text)
+        with pytest.raises(DataError, match="modelset.txt"):
+            load_model_set(tmp_path)
+
 
 def test_vowel_model_set_validation():
     with pytest.raises(ValueError):

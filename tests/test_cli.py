@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from accent_forge.audio import AudioBuffer, save_audio
 from accent_forge.cli import main
 from accent_forge.config import (
     SynthSpec,
@@ -10,8 +11,8 @@ from accent_forge.config import (
     default_config,
     load_config,
 )
-from accent_forge.corpus import parse_alignment, parse_manifest
-from accent_forge.errors import DataError
+from accent_forge.corpus import VOWELS, parse_alignment, parse_manifest
+from accent_forge.errors import DataError, UsageError
 from accent_forge.report import (
     EvaluationReport,
     format_eval_table,
@@ -180,6 +181,28 @@ class TestSynth:
         assert accent_formant_factors(0, 7, 0.15) == (1.0, 1.0)
         f1, f2 = accent_formant_factors(1, 0, 0.15)
         assert (f1, f2) != (1.0, 1.0)
+
+    def test_accent_patterns_distinct(self, tmp_path):
+        from accent_forge.synth import MAX_ACCENTS, accent_formant_factors
+        shift = 0.15
+        tables = [
+            tuple(accent_formant_factors(a, v, shift) for v in range(len(VOWELS)))
+            for a in range(7)
+        ]
+        assert len(set(tables)) == 7
+        # accents 0-2 keep the factors every existing corpus was generated with
+        for a in (1, 2):
+            for v in range(len(VOWELS)):
+                u1 = ((v + 2 * a) % 3) - 1
+                u2 = ((v + a) % 3) - 1
+                assert tables[a][v] == (1.0 + shift * u1, 1.0 + shift * u2)
+        assert set(tables[0]) == {(1.0, 1.0)}
+        with pytest.raises(ValueError):
+            accent_formant_factors(MAX_ACCENTS, 0, shift)
+        spec = SynthSpec(accents=[f"X{i}" for i in range(MAX_ACCENTS + 1)])
+        with pytest.raises(DataError, match="at most"):
+            generate_corpus(spec, 1, tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -379,8 +402,20 @@ class TestFeaturizeVariants:
             assert row["retained_duration_s"] <= row["total_duration_s"]
 
 
-def test_workers_env_override(monkeypatch):
+def test_workers_env_override(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("ACCENT_FORGE_WORKERS", "2")
     assert pipeline.worker_count() == 2
     monkeypatch.setenv("ACCENT_FORGE_WORKERS", "")
     assert pipeline.worker_count() >= 1
+    monkeypatch.setenv("ACCENT_FORGE_WORKERS", "abc")
+    with pytest.raises(UsageError, match="ACCENT_FORGE_WORKERS"):
+        pipeline.worker_count()
+
+    save_audio(tmp_path / "u.wav", AudioBuffer(0.1 * np.ones(4000), 8000))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"u\t{tmp_path / 'u.wav'}\tA\n")
+    capsys.readouterr()
+    assert main(["vad", "--manifest", str(manifest), "--out", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert "accent-forge: usage error: ACCENT_FORGE_WORKERS" in err
+    assert "Traceback" not in err

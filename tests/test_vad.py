@@ -7,6 +7,8 @@ from accent_forge.errors import DataError
 from accent_forge.vad import (
     SpeechMask,
     VadConfig,
+    _centroids,
+    _drop_short_runs,
     estimate_threshold,
     load_mask,
     median_smooth,
@@ -177,6 +179,80 @@ class TestRemoveSilence:
         frame_at = lambda t_s: int(t_s * 1000 / 25)
         assert mask.keep[: frame_at(1.8)].mean() > 0.8  # speech largely kept
         assert not mask.keep[frame_at(3.8): frame_at(4.3)].any()  # blip removed
+
+
+def scan_drop_short_runs(keep, min_frames):
+    """Reference run-length filter: a left-to-right scan, one frame at a time."""
+    keep = keep.copy()
+    i = 0
+    while i < keep.size:
+        if keep[i]:
+            j = i
+            while j < keep.size and keep[j]:
+                j += 1
+            if j - i < min_frames:
+                keep[i:j] = False
+            i = j
+        else:
+            i += 1
+    return keep
+
+
+class TestWholeMatrixSteps:
+    """The batched silence-removal steps equal their per-frame definitions."""
+
+    def test_batched_centroid_equals_per_frame(self):
+        rng = np.random.default_rng(21)
+        x = 0.2 * rng.standard_normal(16000)
+        x[4000:6000] = 0.0  # several all-zero frames
+        fs = frame_signal(AudioBuffer(x, 8000), 50, 25)
+        batched = _centroids(np.abs(np.fft.rfft(fs.frames, axis=1)))
+        per_frame = np.array([spectral_centroid(magnitude_spectrum(f)) for f in fs.frames])
+        assert np.count_nonzero(per_frame == 0.0) >= 3
+        assert np.array_equal(batched, per_frame)
+
+    def test_drop_short_runs_equals_scan(self):
+        rng = np.random.default_rng(22)
+        masks = [rng.random(n) < p for n in (1, 2, 7, 40, 300) for p in (0.3, 0.6, 0.9)]
+        masks += [
+            np.ones(9, dtype=bool),
+            np.zeros(9, dtype=bool),
+            np.zeros(0, dtype=bool),
+            np.array([True, True, False, False, True]),  # runs touching both ends
+            np.array([True, False, True, True, True, False, True, True]),
+        ]
+        for keep in masks:
+            before = keep.copy()
+            for min_frames in (1, 2, 3, 4, 10):
+                assert np.array_equal(
+                    _drop_short_runs(keep, min_frames), scan_drop_short_runs(keep, min_frames)
+                )
+            assert np.array_equal(keep, before)
+
+    @pytest.mark.parametrize("cfg", [VadConfig(), VadConfig(frame_len_ms=20, hop_ms=35)])
+    def test_speech_is_concatenated_hop_slices(self, cfg):
+        audio = speech_plus_silence(speech_s=3, silence_s=2, seed=4)
+        x = audio.samples
+        speech, mask, _ = remove_silence(audio, cfg)
+        assert 0 < mask.keep.sum() < mask.n_frames
+        hop = mask.hop
+        pieces = [x[i * hop: min(i * hop + hop, x.size)] for i in np.flatnonzero(mask.keep)]
+        assert np.array_equal(speech.samples, np.concatenate(pieces))
+
+    @pytest.mark.parametrize("n", [0, 1, 399, 400, 401, 8000, 8123])
+    def test_frame_signal_values_unchanged(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        fs = frame_signal(AudioBuffer(x, 8000), 50, 25)  # N=400, hop=200
+        if n == 0:
+            expected = np.zeros((0, 400))
+        elif n < 400:
+            expected = np.zeros((1, 400))
+            expected[0, :n] = x
+        else:
+            count = (n - 400) // 200 + 1
+            expected = x[np.arange(400)[None, :] + 200 * np.arange(count)[:, None]]
+        assert np.array_equal(fs.frames, expected)
+        assert not fs.frames.flags.writeable
 
 
 def test_vad_config_validation():
