@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import VOWELS
 from .errors import ConsistencyError, DataError
-from .gmm import EmOptions, GmmModel, em_fit, load_gmm, mixture_log_likelihood, save_gmm
+from .gmm import EmOptions, GmmModel, as_values, em_fit, load_gmm, mixture_log_likelihood, save_gmm
 
 logger = logging.getLogger(__name__)
 
@@ -109,13 +109,16 @@ def train_baseline(
 
 def classify_baseline(models: AccentModelSet, X) -> ClassificationResult:
     """Best accent under total log likelihood; ties go to the lowest accent index."""
-    values = np.asarray(getattr(X, "values", X), dtype=np.float64)
+    values = as_values(X)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError("cannot classify an empty feature matrix")
     scores = {lab: mixture_log_likelihood(models.models[lab], values) for lab in models.labels}
-    ordered = np.array([scores[lab] for lab in models.labels])
-    predicted = models.labels[int(np.argmax(ordered))]
-    return ClassificationResult(predicted, scores, values.shape[0])
+    return ClassificationResult(_best_label(models.labels, scores), scores, values.shape[0])
+
+
+def _best_label(labels: list[str], scores: dict[str, float]) -> str:
+    """Highest-scoring label; ties go to the lowest label index."""
+    return labels[int(np.argmax(np.array([scores[lab] for lab in labels])))]
 
 
 def vowel_weights(frame_counts: dict[str, float], subset) -> dict[str, float]:
@@ -128,6 +131,39 @@ def vowel_weights(frame_counts: dict[str, float], subset) -> dict[str, float]:
     if total <= 0:
         raise ValueError("at least one subset vowel needs a positive count")
     return {v: float(c / total) for v, c in zip(subset, counts)}
+
+
+def _score_vowel(models: VowelModelSet, v: str, X) -> tuple[int, dict[str, float]] | None:
+    """Frame count and per-accent total log likelihood of one vowel's rows.
+
+    None when the vowel has no frames, so it drops out of the fusion.
+    """
+    values = as_values(X)
+    if values.ndim != 2 or values.shape[0] == 0:
+        return None
+    totals = {lab: mixture_log_likelihood(models.models[(lab, v)], values) for lab in models.labels}
+    return values.shape[0], totals
+
+
+def _fuse_vowel_scores(
+    labels: list[str],
+    weights: dict[str, float],
+    present: list[tuple[str, int, dict[str, float]]],
+    frame_normalized: bool,
+) -> tuple[str, dict[str, float]]:
+    """Predicted label and fused scores from (vowel, frame count, totals) triples.
+
+    The weights of the vowels present are renormalized to sum to one; the
+    sums run in the order of present, so equal inputs give equal bits.
+    """
+    weight_total = sum(weights[v] for v, _, _ in present)
+    scores = {lab: 0.0 for lab in labels}
+    for v, k, totals in present:
+        w = weights[v] / weight_total
+        scale = w / k if frame_normalized else w
+        for lab in labels:
+            scores[lab] += scale * totals[lab]
+    return _best_label(labels, scores), scores
 
 
 def classify_vowel(
@@ -147,24 +183,14 @@ def classify_vowel(
     for v, X in per_vowel_X.items():
         if v not in models.subset:
             raise ValueError(f"vowel {v!r} is not in the selected subset")
-        values = np.asarray(getattr(X, "values", X), dtype=np.float64)
-        if values.ndim == 2 and values.shape[0] > 0:
-            present.append((v, values))
+        scored = _score_vowel(models, v, X)
+        if scored is not None:
+            present.append((v, *scored))
     if not present:
         raise DataError("no vowel frames available for classification")
 
-    weight_total = sum(models.weights[v] for v, _ in present)
-    scores = {lab: 0.0 for lab in models.labels}
-    frames = {}
-    for v, values in present:
-        k = values.shape[0]
-        frames[v] = k
-        w = models.weights[v] / weight_total
-        scale = w / k if frame_normalized else w
-        for lab in models.labels:
-            scores[lab] += scale * mixture_log_likelihood(models.models[(lab, v)], values)
-    ordered = np.array([scores[lab] for lab in models.labels])
-    predicted = models.labels[int(np.argmax(ordered))]
+    predicted, scores = _fuse_vowel_scores(models.labels, models.weights, present, frame_normalized)
+    frames = {v: k for v, k, _ in present}
     return ClassificationResult(predicted, scores, sum(frames.values()), frames)
 
 
@@ -179,23 +205,26 @@ def select_vowel_subset(
     Candidates are tried in inventory order, which also breaks accuracy
     ties. Dev utterances with no vowel frames at all are skipped (with a
     logged count); an utterance with no frames for a candidate subset counts
-    as misclassified for that subset.
+    as misclassified for that subset. Each dev vowel is scored against every
+    accent once; the trials only fuse those totals, exactly as
+    classify_vowel would.
     """
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
     candidates = [v for v in models.inventory if v in models.subset]
     subset_size = min(subset_size, len(candidates))
 
-    usable = []
+    scored = []
     skipped = 0
     for true_label, per_vowel in dev:
-        if any(np.asarray(getattr(X, "values", X)).shape[0] > 0 for X in per_vowel.values()):
-            usable.append((true_label, per_vowel))
+        if any(as_values(X).shape[0] > 0 for X in per_vowel.values()):
+            totals = {v: _score_vowel(models, v, per_vowel[v]) for v in candidates if v in per_vowel}
+            scored.append((true_label, {v: t for v, t in totals.items() if t is not None}))
         else:
             skipped += 1
     if skipped:
         logger.warning("skipped %d dev utterances without any vowel frames", skipped)
-    if not usable:
+    if not scored:
         raise DataError("no usable dev utterances for vowel selection")
 
     def accuracy(subset: list[str]) -> float:
@@ -205,17 +234,15 @@ def select_vowel_subset(
             trial_weights = {v: w / total for v, w in raw.items()}
         else:
             trial_weights = {v: 1.0 / len(subset) for v in subset}
-        trial = replace(models, subset=subset, weights=trial_weights)
         correct = 0
-        for true_label, per_vowel in usable:
-            restricted = {v: per_vowel[v] for v in subset if v in per_vowel}
-            try:
-                result = classify_vowel(trial, restricted, frame_normalized)
-            except DataError:
+        for true_label, totals in scored:
+            present = [(v, *totals[v]) for v in subset if v in totals]
+            if not present:
                 continue  # counts as a miss
-            if result.predicted == true_label:
+            predicted, _ = _fuse_vowel_scores(models.labels, trial_weights, present, frame_normalized)
+            if predicted == true_label:
                 correct += 1
-        return correct / len(usable)
+        return correct / len(scored)
 
     chosen: list[str] = []
     while len(chosen) < subset_size:

@@ -37,12 +37,6 @@ class Manifest:
     entries: list[ManifestEntry]
     inventory: list[str]
 
-    def by_accent(self) -> dict[str, list[ManifestEntry]]:
-        groups: dict[str, list[ManifestEntry]] = {lab: [] for lab in self.inventory}
-        for e in self.entries:
-            groups[e.accent].append(e)
-        return groups
-
 
 @dataclass
 class SplitAssignment:

@@ -66,9 +66,13 @@ class EmOptions:
             raise ValueError("rel_tol must be positive")
 
 
+def as_values(x) -> np.ndarray:
+    """The float64 array of a FeatureMatrix, or of any array-like."""
+    return np.asarray(getattr(x, "values", x), dtype=np.float64)
+
+
 def _as_matrix(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    values = np.asarray(values, dtype=np.float64)
+    values = as_values(x)
     if values.ndim == 1:
         values = values[None, :]
     return values
@@ -131,7 +135,7 @@ def component_posteriors(model: GmmModel, x) -> np.ndarray:
     A single observation yields an (n_components,) vector; a matrix of
     observations yields one row of posteriors per frame.
     """
-    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    arr = as_values(x)
     single = arr.ndim == 1
     X = arr[None, :] if single else arr
     logs = _component_log_densities(model, X) + np.log(model.weights)[None, :]
@@ -162,17 +166,18 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
             + np.sum(centers * centers, axis=1)[None, :]
         )
         labels = np.argmin(dists, axis=1)
-        empties = [i for i in range(k) if not np.any(labels == i)]
-        if empties:
-            # revive empty clusters at the worst-covered points, one each
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            # revive empty clusters at the worst-covered points, one each;
+            # a revived point can leave its old cluster empty, so recount
             order = np.argsort(-np.min(dists, axis=1), kind="stable")
             for i, worst in zip(empties, order):
                 centers[i] = X[worst]
                 labels[int(worst)] = i
-        for i in range(k):
-            member = labels == i
-            if np.any(member):
-                centers[i] = X[member].mean(axis=0)
+            counts = np.bincount(labels, minlength=k)
+        for i in np.flatnonzero(counts):
+            centers[i] = X[labels == i].mean(axis=0)
     return centers, labels
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .accent import (
     VowelModelSet,
+    _fuse_vowel_scores,
+    _score_vowel,
     classify_baseline,
     classify_vowel,
     derive_seed,
@@ -300,9 +302,8 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     # vowel mode: per-accent, per-vowel models on aligned vowel frames
     label_index = {lab: i for i, lab in enumerate(labels)}
     train_vowel_frames: dict[tuple[str, str], list[np.ndarray]] = {}
-    for utt in train_ids:
+    for utt, (_, feats) in zip(train_ids, train_feats):
         entry = entries[utt]
-        feats = _load_features(feat_dir, utt)
         segments = _vowel_segments_for(entry, manifest_path.parent, feat_dir, float("-inf"))
         projected = _frontend(feats, cfg, transform)
         for v in VOWELS:
@@ -387,7 +388,12 @@ def _pool_by_accent(labels, train_feats, cfg, transform) -> dict[str, np.ndarray
 
 
 def _tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, cfg) -> float:
-    """Grid search over dev-confidence percentiles for the best filter threshold."""
+    """Grid search over dev-confidence percentiles for the best filter threshold.
+
+    A vowel's rows depend only on the intervals of its kept segments, so its
+    per-accent totals are scored once per distinct set of kept intervals and
+    reused by every grid point that keeps the same set.
+    """
     confidences = [
         s.confidence
         for _, _, segments in dev_segment_lists
@@ -399,23 +405,28 @@ def _tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, cf
     grid = [float("-inf")] + sorted(
         {float(np.percentile(confidences, p)) for p in range(0, 100, 10)}
     )
-    trial_set = replace(model_set, subset=subset, weights=weights)
 
+    memo: dict[tuple, tuple[int, dict[str, float]] | None] = {}
     best_tau, best_acc = float("-inf"), -1.0
     for tau in grid:
         correct = 0
-        total = 0
-        for accent, projected, segments in dev_segment_lists:
+        for ui, (accent, projected, segments) in enumerate(dev_segment_lists):
             kept, _ = filter_by_confidence(segments, tau)
-            per_vowel = _per_vowel_matrix(projected, kept, subset)
-            total += 1
-            try:
-                result = classify_vowel(trial_set, per_vowel, cfg.frame_normalized_vowel_scores)
-            except DataError:
-                continue
-            if result.predicted == accent:
+            present = []
+            for v in subset:
+                key = (ui, v, tuple((s.start, s.end) for s in kept if s.phone == v))
+                if key not in memo:
+                    memo[key] = _score_vowel(model_set, v, extract_vowel_frames(projected, kept, v))
+                if memo[key] is not None:
+                    present.append((v, *memo[key]))
+            if not present:
+                continue  # counts as a miss
+            predicted, _ = _fuse_vowel_scores(
+                model_set.labels, weights, present, cfg.frame_normalized_vowel_scores
+            )
+            if predicted == accent:
                 correct += 1
-        acc = correct / total if total else 0.0
+        acc = correct / len(dev_segment_lists)
         if acc > best_acc:
             best_tau, best_acc = tau, acc
     return best_tau

@@ -121,16 +121,6 @@ def write_vad_report(path, report: VadReport) -> None:
     Path(path).write_text(_canonical_json(payload), encoding="utf-8")
 
 
-def read_vad_report(path) -> VadReport:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read vad report: {exc}")
-    if payload.get("kind") != "vad":
-        raise DataError(f"{path}: not a vad report")
-    return VadReport(rows=list(payload["rows"]), fingerprint=payload.get("fingerprint", ""))
-
-
 def format_vad_table(report: VadReport) -> str:
     lines = ["accent  utterances  duration(s)  retained(s)  mean compression rate"]
     for row in report.rows:

@@ -3,6 +3,8 @@
 Per-frame energy and centroid sequences are median-smoothed twice, a
 threshold is estimated for each from the first two modes of its histogram,
 and a frame survives only if both smoothed measures clear their thresholds.
+When that joint rule keeps nothing in audio that is not all zero, the energy
+threshold alone decides.
 """
 
 from __future__ import annotations
@@ -152,6 +154,9 @@ def remove_silence(
     frames), the per-frame keep mask, and the compression rate
     (kept frames / total frames). Audio shorter than two frames is returned
     unchanged with rate 1.0; all-zero audio yields empty speech and rate 0.0.
+    If no run of frames clears both thresholds, the frames that clear the
+    energy threshold are kept instead, still dropping runs shorter than
+    min_segment_ms.
     """
     cfg = cfg or VadConfig()
     if audio.samples.size == 0:
@@ -178,6 +183,10 @@ def remove_silence(
     keep = (energy_s >= t_energy) & (centroid_s >= t_centroid)
     min_frames = int(math.ceil(cfg.min_segment_ms / cfg.hop_ms))
     keep = _drop_short_runs(keep, min_frames)
+    if not keep.any():
+        # In speech-dense audio the centroid histogram can put its threshold
+        # above nearly every frame; the energy rule alone still finds speech.
+        keep = _drop_short_runs(energy_s >= t_energy, min_frames)
 
     # frame i contributes its hop-length slice [i*hop, i*hop + hop), clipped to the signal
     covered = np.repeat(keep, fs.hop)[: x.size]

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from accent_forge import accent
 from accent_forge.accent import (
     AccentModelSet,
     VowelModelSet,
@@ -13,9 +16,12 @@ from accent_forge.accent import (
     train_baseline,
     vowel_weights,
 )
-from accent_forge.corpus import VOWELS
+from accent_forge.config import default_config
+from accent_forge.corpus import VOWELS, AlignmentSegment, extract_vowel_frames, filter_by_confidence
 from accent_forge.errors import ConsistencyError, DataError
-from accent_forge.gmm import EmOptions, GmmModel, em_fit
+from accent_forge.features import FeatureMatrix
+from accent_forge.gmm import EmOptions, GmmModel, em_fit, mixture_log_likelihood
+from accent_forge.pipeline import _tune_confidence_threshold
 
 
 def single_gaussian(mean, var=1.0, dims=2):
@@ -264,6 +270,222 @@ class TestSelectVowelSubset:
         ]
         chosen = select_vowel_subset(dev, vset, 2)
         assert chosen == ["aa", "eh"]
+
+
+def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
+    """Reference greedy selection: one classify_vowel call per trial and utterance."""
+    candidates = [v for v in models.inventory if v in models.subset]
+    subset_size = min(subset_size, len(candidates))
+    usable = [
+        (true, per_vowel) for true, per_vowel in dev
+        if any(np.asarray(X).shape[0] > 0 for X in per_vowel.values())
+    ]
+
+    def accuracy(subset):
+        raw = {v: models.weights.get(v, 0.0) for v in subset}
+        total = sum(raw.values())
+        if total > 0:
+            trial_weights = {v: w / total for v, w in raw.items()}
+        else:
+            trial_weights = {v: 1.0 / len(subset) for v in subset}
+        trial = replace(models, subset=subset, weights=trial_weights)
+        correct = 0
+        for true, per_vowel in usable:
+            restricted = {v: per_vowel[v] for v in subset if v in per_vowel}
+            try:
+                correct += classify_vowel(trial, restricted, frame_normalized).predicted == true
+            except DataError:
+                pass
+        return correct / len(usable)
+
+    chosen = []
+    while len(chosen) < subset_size:
+        best_v, best_acc = None, -1.0
+        for v in candidates:
+            if v not in chosen:
+                acc = accuracy(chosen + [v])
+                if acc > best_acc:
+                    best_v, best_acc = v, acc
+        chosen.append(best_v)
+    return chosen
+
+
+def naive_tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, frame_normalized):
+    """Reference τ search: re-extract and re-classify every utterance at every grid point."""
+    confidences = [
+        s.confidence for _, _, segments in dev_segment_lists for s in segments
+        if s.phone in subset and s.confidence is not None
+    ]
+    if not confidences:
+        return float("-inf")
+    grid = [float("-inf")] + sorted({float(np.percentile(confidences, p)) for p in range(0, 100, 10)})
+    trial = replace(model_set, subset=subset, weights=weights)
+    best_tau, best_acc = float("-inf"), -1.0
+    for tau in grid:
+        correct = 0
+        for true, projected, segments in dev_segment_lists:
+            kept, _ = filter_by_confidence(segments, tau)
+            per_vowel = {v: extract_vowel_frames(projected, kept, v) for v in subset}
+            try:
+                correct += classify_vowel(trial, per_vowel, frame_normalized).predicted == true
+            except DataError:
+                pass
+        acc = correct / len(dev_segment_lists)
+        if acc > best_acc:
+            best_tau, best_acc = tau, acc
+    return best_tau
+
+
+def random_gmm(rng, center, dims=2):
+    n = int(rng.integers(1, 3))
+    weights = rng.uniform(0.2, 1.0, n)
+    return GmmModel(
+        weights / weights.sum(),
+        rng.normal(center, 0.7, (n, dims)),
+        rng.uniform(0.5, 2.0, (n, dims)),
+    )
+
+
+def random_vowel_set(rng, labels, vowels):
+    centers = {(lab, v): rng.normal(0.0, 0.8, 2) for lab in labels for v in vowels}
+    weights = vowel_weights(dict(zip(vowels, rng.uniform(0.1, 1.0, len(vowels)))), vowels)
+    models = {key: random_gmm(rng, centers[key]) for key in centers}
+    return VowelModelSet(list(labels), list(vowels), weights, models), centers
+
+
+def random_dev(rng, labels, vowels, centers, n_utts):
+    """Dev utterances with absent vowels, zero-frame vowels and vowels outside the set."""
+    dev = []
+    for _ in range(n_utts):
+        true = labels[int(rng.integers(len(labels)))]
+        per_vowel = {}
+        for v in vowels:
+            kind = rng.random()
+            if kind < 0.25:
+                continue  # absent
+            if kind < 0.4:
+                per_vowel[v] = np.zeros((0, 2))
+            else:
+                per_vowel[v] = rng.normal(centers[(true, v)], 1.5, (int(rng.integers(1, 7)), 2))
+        if rng.random() < 0.2:
+            per_vowel["uw"] = rng.standard_normal((3, 2))  # not a candidate
+        dev.append((true, per_vowel))
+    dev.append((labels[0], {vowels[0]: np.zeros((0, 2))}))  # no frames at all: skipped
+    return dev
+
+
+class TestCachedVowelScoring:
+    @pytest.mark.parametrize("frame_normalized", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_selection_matches_naive_reference(self, seed, frame_normalized):
+        rng = np.random.default_rng(100 + seed)
+        labels = ["A", "B", "C"][: 2 + seed % 2]
+        vowels = sorted(rng.choice(VOWELS[:12], 5, replace=False), key=VOWELS.index)
+        vset, centers = random_vowel_set(rng, labels, vowels)
+        dev = random_dev(rng, labels, vowels, centers, 14)
+        for size in (1, 3, 5):
+            assert select_vowel_subset(dev, vset, size, frame_normalized) == (
+                naive_select_vowel_subset(dev, vset, size, frame_normalized)
+            )
+
+    @pytest.mark.parametrize("frame_normalized", [True, False])
+    def test_selection_all_ties_matches_naive_reference(self, frame_normalized):
+        # identical models for every accent: every utterance ties and goes to "A",
+        # so only the frames each subset covers separate the trials
+        rng = np.random.default_rng(7)
+        vowels = ["aa", "eh", "ih", "ow"]
+        model = single_gaussian(0.0)
+        vset = vowel_set_for(["A", "B", "C"], vowels, lambda lab, v: model)
+        centers = {(lab, v): np.zeros(2) for lab in "ABC" for v in vowels}
+        dev = random_dev(rng, ["A", "B", "C"], vowels, centers, 10)
+        for size in (1, 2, 4):
+            assert select_vowel_subset(dev, vset, size, frame_normalized) == (
+                naive_select_vowel_subset(dev, vset, size, frame_normalized)
+            )
+
+    def test_fused_scores_follow_the_weighting_formula(self):
+        rng = np.random.default_rng(21)
+        vset, centers = random_vowel_set(rng, ["A", "B"], ["aa", "iy", "uw"])
+        per_vowel = {"aa": rng.standard_normal((4, 2)), "iy": np.zeros((0, 2)), "uw": rng.standard_normal((2, 2))}
+        result = classify_vowel(vset, per_vowel)
+        weight_total = 0
+        for v in ("aa", "uw"):
+            weight_total += vset.weights[v]
+        for lab in ("A", "B"):
+            expected = 0.0
+            for v in ("aa", "uw"):
+                X = per_vowel[v]
+                w = vset.weights[v] / weight_total
+                expected += w / X.shape[0] * mixture_log_likelihood(vset.models[(lab, v)], X)
+            assert result.scores[lab] == expected
+        assert result.frames_per_vowel == {"aa": 4, "uw": 2}
+
+    def test_selection_scores_each_dev_vowel_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        labels = ["A", "B", "C"]
+        vowels = ["aa", "ae", "eh", "iy", "ow"]
+        vset, centers = random_vowel_set(rng, labels, vowels)
+        dev = random_dev(rng, labels, vowels, centers, 12)
+        calls = {}
+        real = accent.mixture_log_likelihood
+
+        def counting(model, X):
+            key = (id(model), np.asarray(X).tobytes())
+            calls[key] = calls.get(key, 0) + 1
+            return real(model, X)
+
+        monkeypatch.setattr(accent, "mixture_log_likelihood", counting)
+        select_vowel_subset(dev, vset, len(vowels))
+        present = sum(
+            1 for _, per_vowel in dev for v, X in per_vowel.items()
+            if v in vowels and np.asarray(X).shape[0] > 0
+        )
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) == present * len(labels)
+
+    @pytest.mark.parametrize("frame_normalized", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tau_tuning_matches_naive_reference(self, seed, frame_normalized):
+        dev_segment_lists, vset, subset, weights = tau_case(seed)
+        cfg = replace(default_config(), frame_normalized_vowel_scores=frame_normalized)
+        tau = _tune_confidence_threshold(dev_segment_lists, vset, subset, weights, cfg)
+        assert tau == naive_tune_confidence_threshold(
+            dev_segment_lists, vset, subset, weights, frame_normalized
+        )
+
+    def test_tau_cases_reach_several_grid_points(self):
+        # the equivalence cases only tell something if they pick different τ
+        cfg = default_config()
+        picked = {_tune_confidence_threshold(*tau_case(seed), cfg) for seed in range(10)}
+        assert len(picked) >= 3
+        assert float("-inf") in picked
+
+
+def tau_case(seed):
+    """Dev utterances whose confident vowel segments sound like the true accent
+    and whose doubtful or unscored ones sound like a random accent."""
+    rng = np.random.default_rng(200 + seed)
+    labels = ["A", "B", "C"]
+    vowels = ["aa", "eh", "iy", "ow"]
+    vset, centers = random_vowel_set(rng, labels, vowels)
+    dev_segment_lists = []
+    for u in range(12):
+        true = labels[u % 3]
+        blocks, segments, t = [], [], 0.0
+        for _ in range(int(rng.integers(2, 9))):
+            phone = (vowels + ["t"])[int(rng.integers(len(vowels) + 1))]
+            n = int(rng.integers(1, 5))
+            confidence = None if rng.random() < 0.15 else float(np.round(rng.uniform(-4, 0), 1))
+            source = true if confidence is not None and confidence > -2 else labels[int(rng.integers(3))]
+            center = centers[(source, phone)] if phone in vowels else np.zeros(2)
+            blocks.append(rng.normal(center, 1.0, (n, 2)))
+            segments.append(AlignmentSegment(t, t + n * 0.01, phone, confidence))
+            t += n * 0.01
+        projected = FeatureMatrix(np.vstack(blocks), "u", start_ms=5.0, hop_ms=10.0)
+        dev_segment_lists.append((true, projected, segments))
+    subset = vowels[: 2 + seed % 3]
+    weights = vowel_weights({v: 1.0 + i for i, v in enumerate(vowels)}, subset)
+    return dev_segment_lists, vset, subset, weights
 
 
 def test_derive_seed_stable():

@@ -5,6 +5,7 @@ import pytest
 
 from accent_forge.errors import DataError
 from accent_forge.gmm import (
+    _kmeans,
     EmOptions,
     GmmModel,
     component_posteriors,
@@ -213,6 +214,57 @@ class TestEmFit:
         X = rng.standard_normal((60, 2))
         model, trace = em_fit(X, 2, EmOptions(seed=3))
         assert mixture_log_likelihood(model, X) == pytest.approx(trace[-1], abs=1e-9)
+
+
+def scan_kmeans(X, k, rng, iters=10):
+    """Reference k-means: per-cluster membership scans, as first written."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centers[i] = X[int(rng.integers(n))]
+        else:
+            centers[i] = X[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((X - centers[i]) ** 2, axis=1))
+    labels = np.zeros(n, dtype=np.intp)
+    for _ in range(iters):
+        dists = (
+            np.sum(X * X, axis=1)[:, None]
+            - 2.0 * (X @ centers.T)
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        labels = np.argmin(dists, axis=1)
+        empties = [i for i in range(k) if not np.any(labels == i)]
+        if empties:
+            order = np.argsort(-np.min(dists, axis=1), kind="stable")
+            for i, worst in zip(empties, order):
+                centers[i] = X[worst]
+                labels[int(worst)] = i
+        for i in range(k):
+            member = labels == i
+            if np.any(member):
+                centers[i] = X[member].mean(axis=0)
+    return centers, labels
+
+
+@pytest.mark.parametrize("case", ["spread", "duplicates", "few_distinct"])
+def test_kmeans_matches_scan_reference(case):
+    rng = np.random.default_rng(3)
+    if case == "spread":
+        X, k = rng.standard_normal((300, 4)), 16
+    elif case == "duplicates":
+        # repeated points leave clusters empty, and reviving one can empty another
+        X, k = np.repeat(rng.standard_normal((5, 3)), 8, axis=0), 9
+    else:
+        X, k = np.repeat(rng.standard_normal((3, 2)), [1, 1, 30], axis=0), 6
+    for seed in range(5):
+        centers, labels = _kmeans(X, k, np.random.default_rng(seed))
+        ref_centers, ref_labels = scan_kmeans(X, k, np.random.default_rng(seed))
+        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(labels, ref_labels)
 
 
 def test_model_validation():

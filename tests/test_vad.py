@@ -181,6 +181,35 @@ class TestRemoveSilence:
         assert not mask.keep[frame_at(3.8): frame_at(4.3)].any()  # blip removed
 
 
+    def test_energy_rule_alone_when_joint_rule_keeps_nothing(self):
+        # a loud low tone and quiet white noise: the tone's frames clear the
+        # energy threshold but sit below the centroid threshold, the noise's
+        # frames the other way round, so no frame clears both
+        sr, cfg = 8000, VadConfig()
+        rng = np.random.default_rng(5)
+        tone = 0.5 * np.sin(2 * np.pi * 300 * np.arange(2 * sr) / sr)
+        noise = lambda: 1e-3 * rng.standard_normal(sr)
+        audio = AudioBuffer(np.concatenate([noise(), tone, noise(), tone, noise()]), sr)
+
+        fs = frame_signal(audio, cfg.frame_len_ms, cfg.hop_ms)
+        smooth = lambda v: median_smooth(median_smooth(v, cfg.smooth_window), cfg.smooth_window)
+        energy_s = smooth(np.mean(fs.frames * fs.frames, axis=1))
+        centroid_s = smooth(_centroids(np.abs(np.fft.rfft(fs.frames, axis=1))))
+        loud = energy_s >= estimate_threshold(energy_s, cfg.threshold_weight)
+        bright = centroid_s >= estimate_threshold(centroid_s, cfg.threshold_weight)
+        assert not (loud & bright).any()
+
+        speech, mask, rate = remove_silence(audio, cfg)
+        assert np.array_equal(mask.keep, _drop_short_runs(loud, 4))
+        frame_at = lambda t_s: int(t_s * 1000 / 25)
+        assert mask.keep[frame_at(1.2): frame_at(2.8)].all()  # first tone
+        assert mask.keep[frame_at(4.2): frame_at(5.8)].all()  # second tone
+        assert not mask.keep[: frame_at(0.8)].any()
+        assert not mask.keep[frame_at(3.2): frame_at(3.8)].any()
+        assert 0.5 < rate < 0.65
+        assert speech.samples.size == mask.keep.sum() * mask.hop
+
+
 def scan_drop_short_runs(keep, min_frames):
     """Reference run-length filter: a left-to-right scan, one frame at a time."""
     keep = keep.copy()
