@@ -153,13 +153,14 @@ def _fuse_vowel_scores(
 ) -> tuple[str, dict[str, float]]:
     """Predicted label and fused scores from (vowel, frame count, totals) triples.
 
-    The weights of the vowels present are renormalized to sum to one; the
-    sums run in the order of present, so equal inputs give equal bits.
+    The weights of the vowels present are renormalized to sum to one, or
+    made equal when they sum to zero; the sums run in the order of present,
+    so equal inputs give equal bits.
     """
     weight_total = sum(weights[v] for v, _, _ in present)
     scores = {lab: 0.0 for lab in labels}
     for v, k, totals in present:
-        w = weights[v] / weight_total
+        w = weights[v] / weight_total if weight_total > 0 else 1.0 / len(present)
         scale = w / k if frame_normalized else w
         for lab in labels:
             scores[lab] += scale * totals[lab]

@@ -24,6 +24,11 @@ logger = logging.getLogger(__name__)
 
 RIDGE_EPS = 1e-6
 
+# HLDA stops after HLDA_MAX_ITERS sweeps or once a sweep raises the
+# objective by less than HLDA_REL_TOL of its magnitude.
+HLDA_MAX_ITERS = 100
+HLDA_REL_TOL = 1e-6
+
 
 @dataclass
 class LabeledFeatures:
@@ -166,6 +171,11 @@ def _hlda_objective(a, covs, total_cov, counts, m, n_rows) -> float:
     return n_rows * logdet - 0.5 * n_rows * (class_terms + float(np.sum(np.log(nuisance_q))))
 
 
+def hlda_converged(trace, rel_tol: float = HLDA_REL_TOL) -> bool:
+    """Whether the last sweep of an objective trace gained less than rel_tol, relatively."""
+    return len(trace) >= 2 and bool(trace[-1] - trace[-2] < rel_tol * abs(trace[-2]))
+
+
 def _hlda_optimize(a0, covs, total_cov, counts, m, n_rows, max_iters, rel_tol):
     """Row-wise cofactor updates; returns (A, objective trace per sweep)."""
     a = a0.copy()
@@ -175,12 +185,16 @@ def _hlda_optimize(a0, covs, total_cov, counts, m, n_rows, max_iters, rel_tol):
         for j in range(dims):
             cof = np.linalg.inv(a).T[j]  # cofactor direction for row j
             row = a[j]
+            # retained rows see every class model, nuisance rows the global
+            # one; each model's variance along the row serves g and the gain
+            stats = list(zip(covs, counts)) if j < m else [(total_cov, n_rows)]
+            row_q = [float(row @ cov @ row) for cov, _ in stats]
             if j < m:
                 g = np.zeros((dims, dims))
-                for cov, count in zip(covs, counts):
-                    g += (count / float(row @ cov @ row)) * cov
+                for (cov, count), q in zip(stats, row_q):
+                    g += (count / q) * cov
             else:
-                g = (n_rows / float(row @ total_cov @ row)) * total_cov
+                g = (n_rows / row_q[0]) * total_cov
             direction = np.linalg.solve(g, cof)
             denom = float(cof @ direction)
             if denom <= 0:
@@ -189,20 +203,12 @@ def _hlda_optimize(a0, covs, total_cov, counts, m, n_rows, max_iters, rel_tol):
 
             # change in objective if the candidate replaces row j
             gain = n_rows * (np.log(abs(float(candidate @ cof))) - np.log(abs(float(row @ cof))))
-            if j < m:
-                for cov, count in zip(covs, counts):
-                    gain -= 0.5 * count * (
-                        np.log(float(candidate @ cov @ candidate)) - np.log(float(row @ cov @ row))
-                    )
-            else:
-                gain -= 0.5 * n_rows * (
-                    np.log(float(candidate @ total_cov @ candidate))
-                    - np.log(float(row @ total_cov @ row))
-                )
+            for (cov, count), q in zip(stats, row_q):
+                gain -= 0.5 * count * (np.log(float(candidate @ cov @ candidate)) - np.log(q))
             if np.isfinite(gain) and gain >= 0.0:
                 a[j] = candidate
         trace.append(_hlda_objective(a, covs, total_cov, counts, m, n_rows))
-        if trace[-1] - trace[-2] < rel_tol * abs(trace[-2]):
+        if hlda_converged(trace, rel_tol):
             break
     return a, trace
 
@@ -231,8 +237,8 @@ def _order_rows_by_class_gain(rows, covs, total_cov, counts, n_rows):
 def hlda_fit(
     data: LabeledFeatures,
     m: int,
-    max_iters: int = 100,
-    rel_tol: float = 1e-6,
+    max_iters: int = HLDA_MAX_ITERS,
+    rel_tol: float = HLDA_REL_TOL,
 ) -> tuple[LinearTransform, list[float]]:
     """Maximum-likelihood heteroscedastic discriminant transform.
 
@@ -242,7 +248,7 @@ def hlda_fit(
     gain (row updates refine directions but cannot swap a retained row for
     a nuisance one, so the initial partition must already be the profitable
     one). A restart from the identity happens once if the transform
-    degenerates.
+    degenerates. Stopping at max_iters without converging logs a warning.
     """
     if not 1 <= m < data.dims:
         raise ValueError(f"retained dims {m} must lie in 1..{data.dims - 1}")
@@ -268,6 +274,13 @@ def hlda_fit(
             raise RuntimeError(
                 f"optimization failed from both starts (dims={data.dims}, m={m}): {exc}"
             )
+    if not hlda_converged(trace, rel_tol):
+        step = (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) >= 2 else float("nan")
+        logger.warning(
+            "HLDA stopped after %d sweeps without converging "
+            "(last relative step %.1e, tolerance %.1e)",
+            len(trace) - 1, step, rel_tol,
+        )
     return LinearTransform("hlda", _fix_signs(a), m), trace
 
 

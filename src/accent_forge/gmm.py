@@ -145,7 +145,11 @@ def component_posteriors(model: GmmModel, x) -> np.ndarray:
 
 
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
-    """Seeded k-means++ with a fixed number of Lloyd iterations."""
+    """Seeded k-means++ with a fixed number of Lloyd iterations (at least one).
+
+    Every non-empty cluster's returned center is the mean of its members
+    under the returned labels.
+    """
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
@@ -201,19 +205,14 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     floor = np.maximum(opts.variance_floor_factor * global_var, MIN_VARIANCE)
     global_var_floored = np.maximum(global_var, floor)
 
+    # k-means already left each non-empty cluster's center at its member mean
     centers, labels = _kmeans(X, n_components, rng)
-    weights = np.zeros(n_components)
+    counts = np.bincount(labels, minlength=n_components)
     means = centers.copy()
     variances = np.tile(global_var_floored, (n_components, 1))
-    for i in range(n_components):
-        member = labels == i
-        count = int(np.count_nonzero(member))
-        weights[i] = count / n_frames
-        if count:
-            means[i] = X[member].mean(axis=0)
-        if count >= 2:
-            variances[i] = np.maximum(X[member].var(axis=0), floor)
-    weights = np.maximum(weights, 1.0 / (10.0 * n_frames))
+    for i in np.flatnonzero(counts >= 2):
+        variances[i] = np.maximum(X[labels == i].var(axis=0), floor)
+    weights = np.maximum(counts / n_frames, 1.0 / (10.0 * n_frames))
     weights /= weights.sum()
     model = GmmModel(weights, means, variances)
 

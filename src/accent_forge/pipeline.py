@@ -2,13 +2,16 @@
 
 Every command takes the manifest, the parsed configuration, and a workspace
 root. Stages write into fixed subdirectories of the workspace (vad/,
-features/, models-<mode>/, reports/), so later stages find earlier ones by
-convention. The configuration fingerprint is stored with features and
-models; stages refuse to mix artifacts with mismatched fingerprints.
+features/, transform/, models-<mode>/, reports/), so later stages find
+earlier ones by convention. The configuration fingerprint is stored with
+features and models; stages refuse to mix artifacts with mismatched
+fingerprints.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +45,16 @@ from .corpus import (
     split_dataset,
     vad_mask_to_alignment_time,
 )
-from .discriminant import LabeledFeatures, LinearTransform, hlda_fit, lda_fit, load_transform, project, save_transform
+from .discriminant import (
+    LabeledFeatures,
+    LinearTransform,
+    hlda_converged,
+    hlda_fit,
+    lda_fit,
+    load_transform,
+    project,
+    save_transform,
+)
 from .errors import ConsistencyError, DataError, UsageError
 from .features import (
     FeatureMatrix,
@@ -56,7 +68,15 @@ from .features import (
     write_feature_archive,
 )
 from .gmm import EmOptions, em_fit
-from .report import EvaluationReport, VadReport, format_eval_table, format_vad_table, write_eval_report, write_vad_report
+from .report import (
+    EvaluationReport,
+    VadReport,
+    _canonical_json,
+    format_eval_table,
+    format_vad_table,
+    write_eval_report,
+    write_vad_report,
+)
 from .synth import generate_corpus
 from .vad import load_mask, remove_silence, save_mask
 
@@ -217,10 +237,14 @@ def _load_features(feat_dir: Path, utterance_id: str) -> FeatureMatrix:
     return records[0]
 
 
-def _fit_transform(cfg: PipelineConfig, train_feats: list[tuple[str, FeatureMatrix]], labels: list[str]) -> LinearTransform:
-    """Fit the configured reduction on context-expanded, accent-labeled frames."""
-    if cfg.transform == "none":
-        raise DataError("this training mode needs [model] transform = lda or hlda")
+def _fit_transform(
+    cfg: PipelineConfig, train_feats: list[tuple[str, FeatureMatrix]], labels: list[str]
+) -> tuple[LinearTransform, dict]:
+    """Fit the configured reduction on context-expanded, accent-labeled frames.
+
+    Returns the transform and the fit's record: its kind, and for HLDA the
+    sweep count, the final objective and whether the last sweep converged.
+    """
     label_index = {lab: i for i, lab in enumerate(labels)}
     blocks = []
     block_labels = []
@@ -232,8 +256,83 @@ def _fit_transform(cfg: PipelineConfig, train_feats: list[tuple[str, FeatureMatr
         block_labels.append(np.full(expanded.n_frames, label_index[accent], dtype=np.intp))
     data = LabeledFeatures(np.vstack(blocks), np.concatenate(block_labels))
     if cfg.transform == "lda":
-        return lda_fit(data, cfg.reduced_dim)
-    transform, _ = hlda_fit(data, cfg.reduced_dim)
+        record = {"kind": "lda", "sweeps": None, "objective": None, "converged": None}
+        return lda_fit(data, cfg.reduced_dim), record
+    transform, trace = hlda_fit(data, cfg.reduced_dim)
+    record = {
+        "kind": "hlda",
+        "sweeps": len(trace) - 1,
+        "objective": float(trace[-1]),
+        "converged": hlda_converged(trace),
+    }
+    return transform, record
+
+
+TRANSFORM_CACHE_FORMAT = "ACFIT1"
+
+
+def _replace_atomically(path: Path, write) -> None:
+    """Call write(tmp) on a temporary sibling of path, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left behind only if write or replace failed
+
+
+def _workspace_transform(
+    root: Path,
+    cfg: PipelineConfig,
+    labels: list[str],
+    train_ids: list[str],
+    train_feats: list[tuple[str, FeatureMatrix]],
+) -> LinearTransform:
+    """The workspace's discriminant transform, fitted once and shared by every mode.
+
+    transform/transform.lin holds the transform and transform/fit.json its
+    record: a SHA-256 key over everything the fit reads (format tag, config
+    fingerprint, accent order, the ordered train ids with their accents and
+    the bytes of their feature matrices), the SHA-256 of transform.lin and
+    the fit's convergence summary. The cached transform is reused only when
+    the key and the file hash both match and the file loads; in any other
+    state the transform is refitted and both files are rewritten.
+    """
+    if cfg.transform == "none":
+        raise DataError("this training mode needs [model] transform = lda or hlda")
+    digest = hashlib.sha256()
+    head = [TRANSFORM_CACHE_FORMAT, config_fingerprint(cfg), list(labels)]
+    digest.update(json.dumps(head).encode("utf-8") + b"\n")
+    for utt, (accent, feats) in zip(train_ids, train_feats):
+        values = np.ascontiguousarray(feats.values, dtype="<f8")
+        digest.update(json.dumps([utt, accent, *values.shape]).encode("utf-8") + b"\n")
+        digest.update(values.tobytes())
+    key = digest.hexdigest()
+
+    cache = root / "transform"
+    lin_path, record_path = cache / "transform.lin", cache / "fit.json"
+    try:
+        record = json.loads(record_path.read_text(encoding="utf-8"))
+        lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
+        if (
+            isinstance(record, dict)
+            and record.get("key") == key
+            and record.get("transform_sha256") == lin_sha256
+        ):
+            transform = load_transform(lin_path)
+            logger.info("reusing the %s transform in %s", transform.kind, cache)
+            return transform
+    except (OSError, ValueError, DataError):
+        pass  # no usable cache: fit below
+
+    transform, record = _fit_transform(cfg, train_feats, labels)
+    cache.mkdir(parents=True, exist_ok=True)
+    _replace_atomically(lin_path, lambda tmp: save_transform(tmp, transform))
+    lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
+    record.update(format=TRANSFORM_CACHE_FORMAT, key=key, transform_sha256=lin_sha256)
+    _replace_atomically(
+        record_path, lambda tmp: tmp.write_text(_canonical_json(record), encoding="utf-8")
+    )
     return transform
 
 
@@ -288,7 +387,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
         save_model_set(model_dir, model_set)
         return model_dir
 
-    transform = _fit_transform(cfg, train_feats, labels)
+    transform = _workspace_transform(root, cfg, labels, train_ids, train_feats)
     save_transform(model_dir / "transform.lin", transform)
 
     if mode == "baseline-hlda":

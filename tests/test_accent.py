@@ -216,6 +216,24 @@ class TestClassifyVowel:
         with pytest.raises(DataError):
             classify_vowel(vset, {"aa": np.zeros((0, 2))})
 
+    @pytest.mark.parametrize("zero", [0.0, np.float64(0.0)], ids=["float", "numpy"])
+    def test_zero_weight_present_vowels_weighted_equally(self, zero):
+        totals = {"b": {"A": -6.0, "B": -3.0}, "c": {"A": -2.0, "B": -8.0}}
+        weights = {"a": 1.0, "b": zero, "c": zero}
+        present = [("b", 3, totals["b"]), ("c", 2, totals["c"])]
+        for normalized in (True, False):
+            predicted, scores = accent._fuse_vowel_scores(["A", "B"], weights, present, normalized)
+            expected = {
+                lab: sum(0.5 / (k if normalized else 1) * t[lab] for _, k, t in present)
+                for lab in ("A", "B")
+            }
+            assert scores == pytest.approx(expected, rel=1e-15)
+            assert predicted == max(expected, key=expected.get)
+        predicted, scores = accent._fuse_vowel_scores(
+            ["A", "B"], weights, [("b", 3, totals["b"])], True
+        )
+        assert predicted == "B" and scores == {"A": -2.0, "B": -1.0}
+
     def test_strict_literal_mode_scales_by_frames(self):
         vset = vowel_set_for(["A", "B"], ["aa"], lambda lab, v: single_gaussian(0.0 if lab == "A" else 2.0))
         rng = np.random.default_rng(11)

@@ -315,7 +315,7 @@ def test_artifact_round_trips_and_rerun_equality(tmp_path):
     for rel in ("features/A0000.feat", "features/B0001.mask", "features/fingerprint.txt"):
         assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
 
-    for mode in ("baseline-plp", "vowel-hlda"):
+    for mode in ("baseline-plp", "baseline-hlda", "vowel-hlda"):
         pipeline.cmd_train(m1, cfg, tmp_path / "w1", mode)
         pipeline.cmd_train(m2, cfg, tmp_path / "w2", mode)
         d1 = tmp_path / "w1" / f"models-{mode}"
@@ -327,6 +327,17 @@ def test_artifact_round_trips_and_rerun_equality(tmp_path):
         pipeline.cmd_evaluate(m2, cfg, tmp_path / "w2", mode)
         rel = f"reports/eval-{mode}.json"
         assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
+
+    # the shared transform fit: the same two files, byte for byte
+    t1, t2 = tmp_path / "w1" / "transform", tmp_path / "w2" / "transform"
+    assert sorted(p.name for p in t1.iterdir()) == ["fit.json", "transform.lin"]
+    assert sorted(p.name for p in t2.iterdir()) == ["fit.json", "transform.lin"]
+    for name in ("fit.json", "transform.lin"):
+        assert (t1 / name).read_bytes() == (t2 / name).read_bytes()
+    for mode in ("baseline-hlda", "vowel-hlda"):
+        assert (tmp_path / "w1" / f"models-{mode}" / "transform.lin").read_bytes() == (
+            t1 / "transform.lin"
+        ).read_bytes()
 
     # save -> load -> save byte equality for each artifact type
     feat_path = tmp_path / "w1" / "features" / "A0000.feat"

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from accent_forge.config import (
     default_config,
     load_config,
 )
-from accent_forge.corpus import VOWELS, parse_alignment, parse_manifest
+from accent_forge.corpus import VOWELS, parse_alignment, parse_manifest, split_dataset
+from accent_forge.discriminant import LabeledFeatures, hlda_converged, hlda_fit, save_transform
 from accent_forge.errors import DataError, UsageError
+from accent_forge.features import context_expand, read_feature_archive, write_feature_archive
 from accent_forge.report import (
     EvaluationReport,
     format_eval_table,
@@ -312,7 +317,7 @@ class TestCliCommands:
         ])
         assert rc == 3
 
-    def test_lda_transform_variant(self, tiny_workspace, tmp_path):
+    def test_lda_transform_variant(self, tiny_workspace, tmp_path, monkeypatch):
         root, cfg_path, manifest = tiny_workspace
         lda_cfg = tmp_path / "lda.ini"
         lda_cfg.write_text(FULL_CONFIG.replace("transform = hlda", "transform = lda"))
@@ -321,6 +326,7 @@ class TestCliCommands:
             "featurize", "--manifest", str(manifest), "--config", str(lda_cfg),
             "--out", str(out),
         ]) == 0
+        calls = count_calls(monkeypatch, "lda_fit")
         assert main([
             "train", "--manifest", str(manifest), "--config", str(lda_cfg),
             "--out", str(out), "--mode", "baseline-hlda",
@@ -334,6 +340,18 @@ class TestCliCommands:
             "evaluate", "--manifest", str(manifest), "--config", str(lda_cfg),
             "--out", str(out), "--mode", "baseline-hlda",
         ]) == 0
+        # the vowel mode shares the one LDA fit
+        assert main([
+            "train", "--manifest", str(manifest), "--config", str(lda_cfg),
+            "--out", str(out), "--mode", "vowel-hlda",
+        ]) == 0
+        assert len(calls) == 1
+        blob = (out / "models-baseline-hlda" / "transform.lin").read_bytes()
+        assert (out / "models-vowel-hlda" / "transform.lin").read_bytes() == blob
+        assert (out / "transform" / "transform.lin").read_bytes() == blob
+        record = json.loads((out / "transform" / "fit.json").read_text())
+        assert record["kind"] == "lda"
+        assert record["sweeps"] is None and record["converged"] is None
 
     def test_transform_none_rejected_for_hlda_mode(self, tiny_workspace, tmp_path):
         root, cfg_path, manifest = tiny_workspace
@@ -400,6 +418,161 @@ class TestFeaturizeVariants:
         report = json.loads((root / "work" / "reports" / "vad.json").read_text())
         for row in report["rows"]:
             assert row["retained_duration_s"] <= row["total_duration_s"]
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of the pipeline's fitting function `name`."""
+    calls = []
+    real = getattr(pipeline, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def shared_ws(tiny_workspace):
+    """Features of the tiny corpus without context expansion, so HLDA fits are quick."""
+    root, _, manifest = tiny_workspace
+    cfg_path = root / "ctx0.ini"
+    cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+    cfg = load_config(cfg_path)
+    pipeline.cmd_featurize(manifest, cfg, root / "ctx0")
+    return manifest, cfg, root / "ctx0" / "features"
+
+
+def fresh_workspace(features, tmp_path):
+    ws = tmp_path / "w"
+    shutil.copytree(features, ws / "features")
+    return ws
+
+
+def split_ids(manifest, cfg, tag):
+    parsed = parse_manifest(manifest)
+    split = split_dataset(parsed, seed=cfg.seed)
+    return parsed, [e for e in parsed.entries if split.tags.get(e.utterance_id) == tag]
+
+
+def fresh_fit(manifest, cfg, ws):
+    """hlda_fit called directly on the train split, as the pipeline should feed it."""
+    parsed, train = split_ids(manifest, cfg, "train")
+    blocks, labels = [], []
+    for entry in train:
+        feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+        expanded = context_expand(feats, cfg.context_size)
+        blocks.append(expanded.values)
+        labels.append(np.full(expanded.n_frames, parsed.inventory.index(entry.accent)))
+    return hlda_fit(LabeledFeatures(np.vstack(blocks), np.concatenate(labels)), cfg.reduced_dim)
+
+
+class TestSharedTransform:
+    @pytest.mark.parametrize(
+        "order", [("baseline-hlda", "vowel-hlda"), ("vowel-hlda", "baseline-hlda")]
+    )
+    def test_one_fit_serves_both_modes(self, shared_ws, tmp_path, monkeypatch, order):
+        manifest, cfg, features = shared_ws
+        ws = fresh_workspace(features, tmp_path)
+        calls = count_calls(monkeypatch, "hlda_fit")
+        for mode in order:
+            pipeline.cmd_train(manifest, cfg, ws, mode)
+        assert len(calls) == 1
+
+        transform, trace = fresh_fit(manifest, cfg, ws)
+        save_transform(tmp_path / "fresh.lin", transform)
+        expected = (tmp_path / "fresh.lin").read_bytes()
+        for mode in order:
+            assert (ws / f"models-{mode}" / "transform.lin").read_bytes() == expected
+        cache = ws / "transform"
+        assert sorted(p.name for p in cache.iterdir()) == ["fit.json", "transform.lin"]
+        assert (cache / "transform.lin").read_bytes() == expected
+
+        record = json.loads((cache / "fit.json").read_text())
+        assert record["format"] == pipeline.TRANSFORM_CACHE_FORMAT
+        assert record["kind"] == "hlda"
+        assert record["sweeps"] == len(trace) - 1
+        assert record["objective"] == trace[-1]
+        assert record["converged"] is hlda_converged(trace)
+        assert record["transform_sha256"] == hashlib.sha256(expected).hexdigest()
+        assert len(record["key"]) == 64
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "train_features", "config", "truncated_transform", "edited_transform",
+            "malformed_record", "record_not_an_object", "edited_key", "missing_record",
+        ],
+    )
+    def test_changed_or_damaged_cache_refits(self, shared_ws, tmp_path, monkeypatch, change):
+        manifest, cfg, features = shared_ws
+        ws = fresh_workspace(features, tmp_path)
+        calls = count_calls(monkeypatch, "hlda_fit")
+        pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
+        first = (ws / "models-baseline-hlda" / "transform.lin").read_bytes()
+        lin, record = ws / "transform" / "transform.lin", ws / "transform" / "fit.json"
+
+        if change == "train_features":
+            _, train = split_ids(manifest, cfg, "train")
+            path = ws / "features" / f"{train[-1].utterance_id}.feat"
+            (feats,) = read_feature_archive(path)
+            write_feature_archive(path, [feats.with_values(feats.values * 1.001)])
+        elif change == "config":
+            cfg = replace(cfg, em=replace(cfg.em, max_iters=cfg.em.max_iters + 1))
+            pipeline.cmd_featurize(manifest, cfg, ws)
+        elif change == "truncated_transform":
+            lin.write_bytes(lin.read_bytes()[:-8])
+        elif change == "edited_transform":
+            blob = bytearray(lin.read_bytes())
+            blob[-1] ^= 0x01
+            lin.write_bytes(bytes(blob))
+        elif change == "malformed_record":
+            record.write_text('{"key": ')
+        elif change == "record_not_an_object":
+            record.write_text("[]\n")
+        elif change == "edited_key":
+            fields = json.loads(record.read_text())
+            fields["key"] = "0" * 64
+            record.write_text(json.dumps(fields))
+        else:
+            record.unlink()
+
+        pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
+        assert len(calls) == 2
+        if change not in ("train_features", "config"):
+            assert (ws / "models-baseline-hlda" / "transform.lin").read_bytes() == first
+        # the refit left a whole cache behind, which the next mode reuses
+        pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
+        assert len(calls) == 2
+        assert json.loads(record.read_text())["transform_sha256"] == (
+            hashlib.sha256(lin.read_bytes()).hexdigest()
+        )
+
+    def test_test_split_features_do_not_invalidate(self, shared_ws, tmp_path, monkeypatch):
+        manifest, cfg, features = shared_ws
+        ws = fresh_workspace(features, tmp_path)
+        calls = count_calls(monkeypatch, "hlda_fit")
+        pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
+        _, test = split_ids(manifest, cfg, "test")
+        path = ws / "features" / f"{test[0].utterance_id}.feat"
+        (feats,) = read_feature_archive(path)
+        write_feature_archive(path, [feats.with_values(feats.values * 1.001)])
+        pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
+        assert len(calls) == 1
+
+    def test_damaged_cache_through_cli(self, shared_ws, tmp_path, capsys):
+        manifest, cfg, features = shared_ws
+        ws = fresh_workspace(features, tmp_path)
+        cfg_path = tmp_path / "ctx0.ini"
+        cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+        args = ["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                "--out", str(ws), "--mode", "baseline-hlda"]
+        assert main(args) == 0
+        (ws / "transform" / "fit.json").write_bytes(b"\xff\xfe not json")
+        (ws / "transform" / "transform.lin").write_bytes(b"ACHLDA1 hlda -1 x\n")
+        assert main(args) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_workers_env_override(monkeypatch, tmp_path, capsys):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from accent_forge import discriminant
 from accent_forge.discriminant import (
     LabeledFeatures,
     LinearTransform,
+    hlda_converged,
     hlda_fit,
     lda_fit,
     load_transform,
@@ -234,6 +236,93 @@ class TestHldaFit:
         data = heteroscedastic_classes(n=100, seed=14)
         with pytest.raises(ValueError):
             hlda_fit(data, 2)  # must be < dims
+
+
+def reference_hlda_optimize(a0, covs, total_cov, counts, m, n_rows, max_iters, rel_tol):
+    """Row-wise cofactor updates as first written: every quadratic form recomputed."""
+    a = a0.copy()
+    dims = a.shape[1]
+    objective = discriminant._hlda_objective
+    trace = [objective(a, covs, total_cov, counts, m, n_rows)]
+    for _ in range(max_iters):
+        for j in range(dims):
+            cof = np.linalg.inv(a).T[j]
+            row = a[j]
+            if j < m:
+                g = np.zeros((dims, dims))
+                for cov, count in zip(covs, counts):
+                    g += (count / float(row @ cov @ row)) * cov
+            else:
+                g = (n_rows / float(row @ total_cov @ row)) * total_cov
+            direction = np.linalg.solve(g, cof)
+            denom = float(cof @ direction)
+            if denom <= 0:
+                continue
+            candidate = direction * np.sqrt(n_rows / denom)
+            gain = n_rows * (np.log(abs(float(candidate @ cof))) - np.log(abs(float(row @ cof))))
+            if j < m:
+                for cov, count in zip(covs, counts):
+                    gain -= 0.5 * count * (
+                        np.log(float(candidate @ cov @ candidate)) - np.log(float(row @ cov @ row))
+                    )
+            else:
+                gain -= 0.5 * n_rows * (
+                    np.log(float(candidate @ total_cov @ candidate))
+                    - np.log(float(row @ total_cov @ row))
+                )
+            if np.isfinite(gain) and gain >= 0.0:
+                a[j] = candidate
+        trace.append(objective(a, covs, total_cov, counts, m, n_rows))
+        if trace[-1] - trace[-2] < rel_tol * abs(trace[-2]):
+            break
+    return a, trace
+
+
+def random_labeled(seed):
+    rng = np.random.default_rng(seed)
+    S = int(rng.integers(2, 5))
+    M = int(rng.integers(3, 9))
+    per = int(rng.integers(30, 90))
+    blocks = [
+        rng.standard_normal((per, M)) @ rng.standard_normal((M, M)) * rng.uniform(0.5, 2.0)
+        + rng.uniform(-2, 2, M)
+        for _ in range(S)
+    ]
+    return LabeledFeatures(np.vstack(blocks), np.repeat(np.arange(S), per)), M
+
+
+class TestHldaSweepAndConvergence:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_matches_reference_bitwise(self, seed, monkeypatch):
+        data, M = random_labeled(300 + seed)
+        m = max(1, M // 2)
+        t, trace = hlda_fit(data, m, max_iters=15)
+        monkeypatch.setattr(discriminant, "_hlda_optimize", reference_hlda_optimize)
+        ref, ref_trace = hlda_fit(data, m, max_iters=15)
+        assert np.array_equal(t.matrix, ref.matrix)
+        assert trace == ref_trace
+
+    def test_converged_flag(self):
+        assert not hlda_converged([5.0])
+        assert hlda_converged([100.0, 100.00001])
+        assert not hlda_converged([100.0, 101.0])
+        assert hlda_converged([-100.0, -100.00001])  # a drop always ends the fit
+        assert not hlda_converged([100.0, 100.5], rel_tol=1e-3)
+
+    def test_unconverged_fit_warns_once(self, caplog):
+        data, M = random_labeled(311)
+        with caplog.at_level(logging.WARNING, logger="accent_forge.discriminant"):
+            _, trace = hlda_fit(data, M // 2, max_iters=1)
+        assert len(trace) == 2 and not hlda_converged(trace)
+        notes = [r for r in caplog.records if "without converging" in r.getMessage()]
+        assert len(notes) == 1
+        assert "after 1 sweeps" in notes[0].getMessage()
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="accent_forge.discriminant"):
+            _, trace = hlda_fit(heteroscedastic_classes(n=500, seed=13), 1)
+        assert hlda_converged(trace) and len(trace) - 1 < 100
+        assert "without converging" not in caplog.text
 
 
 class TestProject:

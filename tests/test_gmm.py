@@ -6,6 +6,7 @@ import pytest
 from accent_forge.errors import DataError
 from accent_forge.gmm import (
     _kmeans,
+    MIN_VARIANCE,
     EmOptions,
     GmmModel,
     component_posteriors,
@@ -265,6 +266,45 @@ def test_kmeans_matches_scan_reference(case):
         ref_centers, ref_labels = scan_kmeans(X, k, np.random.default_rng(seed))
         assert np.array_equal(centers, ref_centers)
         assert np.array_equal(labels, ref_labels)
+
+
+def naive_em_init(X, k, opts):
+    """EM's starting model as first written: boolean-mask means, counts and variances."""
+    rng = np.random.default_rng(opts.seed)
+    global_var = X.var(axis=0)
+    floor = np.maximum(opts.variance_floor_factor * global_var, MIN_VARIANCE)
+    centers, labels = scan_kmeans(X, k, rng)
+    weights = np.zeros(k)
+    means = centers.copy()
+    variances = np.tile(np.maximum(global_var, floor), (k, 1))
+    for i in range(k):
+        member = labels == i
+        count = int(np.count_nonzero(member))
+        weights[i] = count / X.shape[0]
+        if count:
+            means[i] = X[member].mean(axis=0)
+        if count >= 2:
+            variances[i] = np.maximum(X[member].var(axis=0), floor)
+    weights = np.maximum(weights, 1.0 / (10.0 * X.shape[0]))
+    weights /= weights.sum()
+    return GmmModel(weights, means, variances)
+
+
+@pytest.mark.parametrize("case", ["spread", "duplicates", "few_distinct"])
+def test_em_starts_from_naive_initialization(case):
+    # trace[0] is the log likelihood of the starting model, summed exactly as
+    # mixture_log_likelihood sums it
+    rng = np.random.default_rng(4)
+    if case == "spread":
+        X, k = rng.standard_normal((300, 4)), 16
+    elif case == "duplicates":
+        X, k = np.repeat(rng.standard_normal((5, 3)), 8, axis=0), 9
+    else:  # clusters of one member keep the global variance
+        X, k = np.repeat(rng.standard_normal((3, 2)), [1, 1, 30], axis=0), 6
+    for seed in range(5):
+        opts = EmOptions(max_iters=1, seed=seed)
+        _, trace = em_fit(X, k, opts)
+        assert trace[0] == mixture_log_likelihood(naive_em_init(X, k, opts), X)
 
 
 def test_model_validation():
