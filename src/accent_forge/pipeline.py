@@ -312,12 +312,12 @@ def _workspace_transform(
     cache = root / "transform"
     lin_path, record_path = cache / "transform.lin", cache / "fit.json"
     try:
-        record = json.loads(record_path.read_text(encoding="utf-8"))
+        stored = json.loads(record_path.read_text(encoding="utf-8"))
         lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
         if (
-            isinstance(record, dict)
-            and record.get("key") == key
-            and record.get("transform_sha256") == lin_sha256
+            isinstance(stored, dict)
+            and stored.get("key") == key
+            and stored.get("transform_sha256") == lin_sha256
         ):
             transform = load_transform(lin_path)
             logger.info("reusing the %s transform in %s", transform.kind, cache)
