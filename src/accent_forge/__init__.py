@@ -21,9 +21,7 @@ from .features import (
 from .gmm import (
     EmOptions,
     GmmModel,
-    component_posteriors,
     em_fit,
-    gaussian_log_density,
     load_gmm,
     mixture_log_likelihood,
     save_gmm,

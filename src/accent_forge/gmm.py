@@ -7,6 +7,7 @@ independent of component ordering bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +79,6 @@ def _as_matrix(x) -> np.ndarray:
     return values
 
 
-def gaussian_log_density(x, mean, var) -> float:
-    """Log density of a diagonal Gaussian at x (natural log)."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    if np.any(var <= 0):
-        raise ValueError("variances must be positive")
-    diff = x - mean
-    return float(-0.5 * (x.size * LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var)))
-
-
 def _component_log_densities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     """Per-frame, per-component Gaussian log densities, shape (K, N)."""
     if X.shape[1] != model.dims:
@@ -123,32 +113,39 @@ def mixture_log_likelihood(model: GmmModel, X) -> float:
     return float(np.sum(frame_log_likelihoods(model, X)))
 
 
-def mean_log_likelihood(model: GmmModel, X) -> float:
-    """Per-frame average log likelihood."""
-    ll = frame_log_likelihoods(model, X)
-    return float(np.mean(ll))
+def _cluster_sums(V: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster column sums of V, bit-identical to V[labels == i].sum(axis=0).
 
-
-def component_posteriors(model: GmmModel, x) -> np.ndarray:
-    """Posterior responsibility of each component, computed in the log domain.
-
-    A single observation yields an (n_components,) vector; a matrix of
-    observations yields one row of posteriors per frame.
+    numpy sums a multi-column block row after row from +0.0, and one flat
+    bincount adds each cluster's rows in that same order from +0.0. A single
+    column is summed pairwise instead, so there each cluster's members are
+    summed as one contiguous run.
     """
-    arr = as_values(x)
-    single = arr.ndim == 1
-    X = arr[None, :] if single else arr
-    logs = _component_log_densities(model, X) + np.log(model.weights)[None, :]
-    logs -= _logsumexp_rows(logs)[:, None]
-    post = np.exp(logs)
-    return post[0] if single else post
+    d = V.shape[1]
+    k = counts.size
+    if d == 1:
+        column = V[np.argsort(labels, kind="stable"), 0]
+        ends = np.cumsum(counts)
+        return np.array([column[e - c: e].sum() for e, c in zip(ends, counts)])[:, None]
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=V.ravel(), minlength=k * d).reshape(k, d)
+
+
+def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """The index rng.choice(p.size, p=p) returns, drawn as that call draws it,
+    so the generator ends in the same state."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     """Seeded k-means++ with a fixed number of Lloyd iterations (at least one).
 
-    Every non-empty cluster's returned center is the mean of its members
-    under the returned labels.
+    Each seeding step draws its point as rng.choice(n, p=d2 / d2.sum())
+    would, consuming the generator exactly as that call does. Every
+    non-empty cluster's returned center is the mean of its members under the
+    returned labels, bit for bit as X[labels == i].mean(axis=0) computes it.
     """
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
@@ -156,19 +153,22 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     d2 = np.sum((X - centers[0]) ** 2, axis=1)
     for i in range(1, k):
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ValueError("squared distances between frames are not finite")
         if total <= 0.0:
             centers[i] = X[int(rng.integers(n))]
         else:
-            centers[i] = X[int(rng.choice(n, p=d2 / total))]
+            centers[i] = X[_draw_index(rng, d2 / total)]
         d2 = np.minimum(d2, np.sum((X - centers[i]) ** 2, axis=1))
 
+    x_sq = np.sum(X * X, axis=1)[:, None]
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(iters):
-        dists = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ centers.T)
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
+        # x_sq - 2.0 * (X @ centers.T) + |centers|^2, in that order, built in place
+        dists = X @ centers.T
+        dists *= 2.0
+        np.subtract(x_sq, dists, out=dists)
+        dists += np.sum(centers * centers, axis=1)[None, :]
         labels = np.argmin(dists, axis=1)
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
@@ -180,8 +180,8 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
                 centers[i] = X[worst]
                 labels[int(worst)] = i
             counts = np.bincount(labels, minlength=k)
-        for i in np.flatnonzero(counts):
-            centers[i] = X[labels == i].mean(axis=0)
+        filled = counts > 0
+        centers[filled] = _cluster_sums(X, labels, counts)[filled] / counts[filled, None]
     return centers, labels
 
 
@@ -192,26 +192,31 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     likelihood of the initialization and each further entry follows one
     update, so the trace is non-decreasing up to round-off. Components whose
     total responsibility vanishes are re-seeded at the frame the current
-    model explains worst.
+    model explains worst. NaN or infinite frames raise ValueError.
     """
     opts = opts or EmOptions()
     X = _as_matrix(X)
     n_frames, dims = X.shape
     if n_frames < n_components:
         raise ValueError(f"{n_frames} frames cannot support {n_components} components")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("frames must be finite")
 
     rng = np.random.default_rng(opts.seed)
     global_var = X.var(axis=0)
     floor = np.maximum(opts.variance_floor_factor * global_var, MIN_VARIANCE)
     global_var_floored = np.maximum(global_var, floor)
 
-    # k-means already left each non-empty cluster's center at its member mean
-    centers, labels = _kmeans(X, n_components, rng)
+    # k-means already left each non-empty cluster's center at its member
+    # mean, so these are the members' variances as X[member].var computes them
+    means, labels = _kmeans(X, n_components, rng)
     counts = np.bincount(labels, minlength=n_components)
-    means = centers.copy()
+    diff = X - means[labels]
+    spread = counts >= 2
     variances = np.tile(global_var_floored, (n_components, 1))
-    for i in np.flatnonzero(counts >= 2):
-        variances[i] = np.maximum(X[labels == i].var(axis=0), floor)
+    variances[spread] = np.maximum(
+        _cluster_sums(diff * diff, labels, counts)[spread] / counts[spread, None], floor
+    )
     weights = np.maximum(counts / n_frames, 1.0 / (10.0 * n_frames))
     weights /= weights.sum()
     model = GmmModel(weights, means, variances)
@@ -259,16 +264,25 @@ def save_gmm(path, model: GmmModel) -> None:
 
 
 def load_gmm(path) -> GmmModel:
-    """Read a model written by save_gmm; the round trip is bit-exact."""
+    """Read a model written by save_gmm; the round trip is bit-exact, and
+    any damage is a DataError naming the file."""
     with open(path, "rb") as fh:
-        parts = fh.readline().decode("utf-8").split()
-        if len(parts) != 3 or parts[0] != GMM_MAGIC:
-            raise DataError(f"{path}: not an ACGMM1 file")
-        n, m = int(parts[1]), int(parts[2])
-        payload = fh.read(8 * (n + 2 * n * m))
-    if len(payload) != 8 * (n + 2 * n * m):
-        raise DataError(f"{path}: truncated ACGMM1 payload")
+        header = fh.readline()
+        payload = fh.read()
+    try:
+        magic, n, m = header.decode("ascii").split()
+        n, m = int(n), int(m)
+    except ValueError:  # also a non-ASCII header or the wrong field count
+        raise DataError(f"{path}: not an ACGMM1 file") from None
+    if magic != GMM_MAGIC or n < 1 or m < 1:
+        raise DataError(f"{path}: not an ACGMM1 file")
+    expected = 8 * (n + 2 * n * m)
+    if len(payload) != expected:
+        raise DataError(f"{path}: ACGMM1 payload of {len(payload)} bytes, expected {expected}")
     weights = np.frombuffer(payload[: 8 * n], dtype="<f8").copy()
     means = np.frombuffer(payload[8 * n: 8 * (n + n * m)], dtype="<f8").reshape(n, m).copy()
     variances = np.frombuffer(payload[8 * (n + n * m):], dtype="<f8").reshape(n, m).copy()
-    return GmmModel(weights, means, variances)
+    try:
+        return GmmModel(weights, means, variances)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -30,15 +30,14 @@ from accent_forge.features import read_feature_archive
 from accent_forge.gmm import (
     EmOptions,
     GmmModel,
-    component_posteriors,
     em_fit,
-    gaussian_log_density,
     load_gmm,
     mixture_log_likelihood,
     save_gmm,
 )
 from accent_forge.report import read_eval_report
 from accent_forge.vad import VadConfig, remove_silence, short_time_energy, spectral_centroid
+from gmm_reference import component_posteriors, gaussian_log_density
 
 
 def criterion(number, name):

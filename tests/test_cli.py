@@ -309,6 +309,31 @@ class TestCliCommands:
         ])
         assert rc == 3
 
+    def test_damaged_gmm_exit_code(self, tiny_workspace, tmp_path, capsys):
+        root, cfg_path, manifest = tiny_workspace
+        ws = tmp_path / "w"
+        shutil.copytree(root / "work" / "features", ws / "features")
+        args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(ws),
+                "--mode", "baseline-plp"]
+        assert main(["train", *args]) == 0
+        model_dir = ws / "models-baseline-plp"
+        gmm = model_dir / "models" / "A.gmm"
+        blob = bytearray(gmm.read_bytes())
+        start = blob.index(b"\n") + 1
+        n = int(blob[:start].split()[1])
+        blob[start: start + 8 * n] = bytes(8 * n)  # every weight zero
+        # record the damaged file's digest, so it passes the SHA-256 check
+        listing = model_dir / "modelset.txt"
+        listing.write_text(listing.read_text().replace(
+            hashlib.sha256(gmm.read_bytes()).hexdigest(), hashlib.sha256(blob).hexdigest()
+        ))
+        gmm.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["evaluate", *args]) == 2
+        err = capsys.readouterr().err
+        assert "accent-forge: data error:" in err and "A.gmm" in err
+        assert "Traceback" not in err
+
     def test_train_without_features_fails_consistently(self, tiny_workspace, tmp_path):
         root, cfg_path, manifest = tiny_workspace
         rc = main([

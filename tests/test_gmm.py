@@ -1,23 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from accent_forge.errors import DataError
 from accent_forge.gmm import (
+    _draw_index,
     _kmeans,
     MIN_VARIANCE,
     EmOptions,
     GmmModel,
-    component_posteriors,
     em_fit,
     frame_log_likelihoods,
-    gaussian_log_density,
     load_gmm,
-    mean_log_likelihood,
     mixture_log_likelihood,
     save_gmm,
 )
+from gmm_reference import component_posteriors, gaussian_log_density, mean_log_likelihood
 
 
 def naive_density(x, mean, var):
@@ -251,20 +251,40 @@ def scan_kmeans(X, k, rng, iters=10):
     return centers, labels
 
 
-@pytest.mark.parametrize("case", ["spread", "duplicates", "few_distinct"])
-def test_kmeans_matches_scan_reference(case):
-    rng = np.random.default_rng(3)
+START_CASES = [
+    "spread", "duplicates", "few_distinct", "negative_zero", "one_column", "vowel", "baseline",
+]
+
+
+def start_case(case, rng):
+    """Frames and a component count for the k-means and EM-start comparisons."""
     if case == "spread":
-        X, k = rng.standard_normal((300, 4)), 16
-    elif case == "duplicates":
+        return rng.standard_normal((300, 4)), 16
+    if case == "duplicates":
         # repeated points leave clusters empty, and reviving one can empty another
-        X, k = np.repeat(rng.standard_normal((5, 3)), 8, axis=0), 9
-    else:
-        X, k = np.repeat(rng.standard_normal((3, 2)), [1, 1, 30], axis=0), 6
-    for seed in range(5):
+        return np.repeat(rng.standard_normal((5, 3)), 8, axis=0), 9
+    if case == "few_distinct":  # clusters of one member keep the global variance
+        return np.repeat(rng.standard_normal((3, 2)), [1, 1, 30], axis=0), 6
+    if case == "negative_zero":  # numpy sums a column of -0.0 to +0.0, as bincount does
+        X = rng.standard_normal((200, 3))
+        X[:, 1] = -0.0
+        return X, 12
+    if case == "one_column":  # numpy sums a single column pairwise, not row by row
+        return rng.standard_normal((600, 1)) * 3.0, 5
+    # pipeline shapes on the bench reference workload: one vowel model's
+    # frames and one accent's frames, 20 HLDA dimensions and 64 components
+    n = 380 if case == "vowel" else 5000
+    blobs = rng.standard_normal((8, 20)) * 3.0
+    return blobs[rng.integers(0, 8, n)] + rng.standard_normal((n, 20)), 64
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_kmeans_matches_scan_reference(case):
+    X, k = start_case(case, np.random.default_rng(3))
+    for seed in range(2 if case == "baseline" else 5):
         centers, labels = _kmeans(X, k, np.random.default_rng(seed))
         ref_centers, ref_labels = scan_kmeans(X, k, np.random.default_rng(seed))
-        assert np.array_equal(centers, ref_centers)
+        assert centers.tobytes() == ref_centers.tobytes()  # bit for bit, signs of zero too
         assert np.array_equal(labels, ref_labels)
 
 
@@ -290,21 +310,68 @@ def naive_em_init(X, k, opts):
     return GmmModel(weights, means, variances)
 
 
-@pytest.mark.parametrize("case", ["spread", "duplicates", "few_distinct"])
+@pytest.mark.parametrize("case", START_CASES)
 def test_em_starts_from_naive_initialization(case):
     # trace[0] is the log likelihood of the starting model, summed exactly as
     # mixture_log_likelihood sums it
-    rng = np.random.default_rng(4)
-    if case == "spread":
-        X, k = rng.standard_normal((300, 4)), 16
-    elif case == "duplicates":
-        X, k = np.repeat(rng.standard_normal((5, 3)), 8, axis=0), 9
-    else:  # clusters of one member keep the global variance
-        X, k = np.repeat(rng.standard_normal((3, 2)), [1, 1, 30], axis=0), 6
-    for seed in range(5):
+    X, k = start_case(case, np.random.default_rng(4))
+    for seed in range(2 if case == "baseline" else 5):
         opts = EmOptions(max_iters=1, seed=seed)
         _, trace = em_fit(X, k, opts)
         assert trace[0] == mixture_log_likelihood(naive_em_init(X, k, opts), X)
+
+
+def draw_vectors(rng):
+    """Weight vectors for the seeding draw: squared distances of many scales,
+    zero entries, and a single non-zero entry."""
+    vectors = []
+    for _ in range(400):
+        w = rng.standard_normal(int(rng.integers(1, 60))) ** 2 * 10.0 ** rng.uniform(-8, 8)
+        w[rng.uniform(size=w.size) < 0.3] = 0.0
+        vectors.append(w)
+    for n in (1, 2, 9):
+        for j in range(n):
+            w = np.zeros(n)
+            w[j] = rng.uniform(0.1, 5.0)
+            vectors.append(w)
+    return [w for w in vectors if w.any()]
+
+
+def test_seeding_draw_matches_rng_choice():
+    gen = np.random.default_rng(15)
+    a, b = np.random.default_rng(16), np.random.default_rng(16)
+    for w in draw_vectors(gen):
+        p = w / float(w.sum())
+        assert _draw_index(a, p) == b.choice(p.size, p=p)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_seeding_draw_renormalizes_like_rng_choice():
+    # p sums to 1 - 1e-8, which rng.choice accepts; seed 0 draws
+    # 1 - 1.6e-9 at this position, past the last entry of p's own cumsum
+    p = np.array([0.5, 0.5 - 1e-8])
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    a.bit_generator.advance(14_817_372)
+    b.bit_generator.advance(14_817_372)
+    assert b.choice(2, p=p) == 1
+    assert _draw_index(a, p) == 1
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frames_rejected_up_front(bad):
+    X = np.random.default_rng(17).standard_normal((40, 3))
+    X[7, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            em_fit(X, 4, EmOptions(seed=0))
+
+
+def test_overflowing_distances_rejected():
+    X = np.array([[1e200], [-1e200], [0.0], [1.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        _kmeans(X, 3, np.random.default_rng(0))
 
 
 def test_model_validation():
@@ -337,6 +404,46 @@ def test_serialization_errors(tmp_path):
     path2.write_bytes(b"ACGMM1 2 3\n" + b"\x00" * 10)
     with pytest.raises(DataError):
         load_gmm(path2)
+
+
+def gmm_file(header, weights, means, variances):
+    values = np.concatenate([np.ravel(weights), np.ravel(means), np.ravel(variances)])
+    return header + b"\n" + values.astype("<f8").tobytes()
+
+
+ONE_COMPONENT = gmm_file(b"ACGMM1 1 2", [1.0], [0.0, 1.0], [1.0, 2.0])
+
+
+DAMAGED_GMM = {
+    "empty": b"",
+    "non_utf8_header": b"ACGMM1 \xff\xfe 2\n" + ONE_COMPONENT[11:],
+    "non_numeric_count": b"ACGMM1 x 2\n" + ONE_COMPONENT[11:],
+    "negative_count": b"ACGMM1 -1 2\n" + ONE_COMPONENT[11:],
+    "zero_dims": b"ACGMM1 1 0\n" + b"\x00" * 8,
+    "extra_field": b"ACGMM1 1 2 3\n" + ONE_COMPONENT[11:],
+    "trailing_bytes": ONE_COMPONENT + b"\x00",
+    "zero_weights": gmm_file(b"ACGMM1 2 1", [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]),
+    "nan_mean": gmm_file(b"ACGMM1 1 2", [1.0], [np.nan, 1.0], [1.0, 2.0]),
+    "nan_weight": gmm_file(b"ACGMM1 1 2", [np.nan], [0.0, 1.0], [1.0, 2.0]),
+    "zero_variance": gmm_file(b"ACGMM1 1 2", [1.0], [0.0, 1.0], [0.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", DAMAGED_GMM)
+def test_load_gmm_rejects_damaged_files(tmp_path, name):
+    path = tmp_path / f"{name}.gmm"
+    path.write_bytes(DAMAGED_GMM[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"{name}.gmm"):
+            load_gmm(path)
+
+
+def test_well_formed_file_loads(tmp_path):
+    path = tmp_path / "m.gmm"
+    path.write_bytes(ONE_COMPONENT)
+    model = load_gmm(path)
+    assert model.means.tolist() == [[0.0, 1.0]] and model.variances.tolist() == [[1.0, 2.0]]
 
 
 def test_frame_log_likelihoods_shape():
