@@ -314,7 +314,10 @@ def load_model_set(in_dir):
     manifest = in_dir / "modelset.txt"
     if not manifest.exists():
         raise DataError(f"{manifest}: model set manifest not found")
-    lines = manifest.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest}: not UTF-8 text (byte {exc.start})") from None
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != MODELSET_MAGIC or header[1] not in ("baseline", "vowel"):
         raise DataError(f"{manifest}: not an {MODELSET_MAGIC} baseline or vowel manifest")

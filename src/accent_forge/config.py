@@ -129,6 +129,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
             parser.read_file(fh)
     except FileNotFoundError:
         raise DataError(f"{path}: config file not found")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from None
     except configparser.Error as exc:
         raise DataError(f"{path}: cannot parse config: {exc}")
 

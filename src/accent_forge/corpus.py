@@ -79,6 +79,8 @@ def parse_manifest(path, inventory: list[str] | None = None) -> Manifest:
             raw_lines = fh.readlines()
     except FileNotFoundError:
         raise DataError(f"{path}: manifest not found")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 text (byte {exc.start})") from None
 
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
@@ -160,6 +162,8 @@ def parse_alignment(path) -> list[AlignmentSegment]:
             raw_lines = fh.readlines()
     except FileNotFoundError:
         raise DataError(f"{path}: alignment file not found")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: alignment file is not UTF-8 text (byte {exc.start})") from None
 
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.strip()

@@ -309,14 +309,23 @@ def save_transform(path, t: LinearTransform) -> None:
 
 
 def load_transform(path) -> LinearTransform:
+    """Read a transform written by save_transform; any damage is a DataError
+    naming the file."""
     with open(path, "rb") as fh:
-        parts = fh.readline().decode("utf-8").split()
-        if len(parts) != 5 or parts[0] != TRANSFORM_MAGIC:
-            raise DataError(f"{path}: not an ACHLDA1 file")
-        _, kind, rows, cols, retained = parts
-        rows, cols = int(rows), int(cols)
-        payload = fh.read(8 * rows * cols)
-    if len(payload) != 8 * rows * cols:
-        raise DataError(f"{path}: truncated ACHLDA1 payload")
+        header = fh.readline()
+        payload = fh.read()
+    try:
+        magic, kind, rows, cols, retained = header.decode("ascii").split()
+        rows, cols, retained = int(rows), int(cols), int(retained)
+    except ValueError:  # also a non-ASCII header or the wrong field count
+        raise DataError(f"{path}: not an ACHLDA1 file") from None
+    if magic != TRANSFORM_MAGIC or rows < 1 or cols < 1:
+        raise DataError(f"{path}: not an ACHLDA1 file")
+    expected = 8 * rows * cols
+    if len(payload) != expected:
+        raise DataError(f"{path}: ACHLDA1 payload of {len(payload)} bytes, expected {expected}")
     matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    return LinearTransform(kind, matrix, int(retained))
+    try:
+        return LinearTransform(kind, matrix, retained)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -9,6 +9,7 @@ least-squares slope estimates over a symmetric window.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,18 +293,27 @@ def read_feature_archive(path) -> list[FeatureMatrix]:
     """Read every ACFEAT1 record from an archive file."""
     out = []
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         while True:
             line = fh.readline()
             if not line:
                 break
-            parts = line.decode("utf-8").split()
-            if len(parts) != 6 or parts[0] != FEATURE_MAGIC:
+            try:  # ValueError also covers a non-UTF-8 header
+                magic, utt, dims, frames, start_ms, hop_ms = line.decode("utf-8").split()
+                dims, frames = int(dims), int(frames)
+                start_ms, hop_ms = float(start_ms), float(hop_ms)
+            except ValueError:
+                raise DataError(f"{path}: bad ACFEAT1 record header: {line!r}") from None
+            if magic != FEATURE_MAGIC or dims < 0 or frames < 0:
                 raise DataError(f"{path}: bad ACFEAT1 record header: {line!r}")
-            _, utt, dims, frames, start_ms, hop_ms = parts
-            dims, frames = int(dims), int(frames)
-            payload = fh.read(dims * frames * 8)
-            if len(payload) != dims * frames * 8:
+            # a header may claim any size: read no further than the file goes
+            nbytes = dims * frames * 8
+            payload = fh.read(nbytes) if nbytes <= size - fh.tell() else b""
+            if len(payload) != nbytes:
                 raise DataError(f"{path}: truncated ACFEAT1 payload for {utt}")
             values = np.frombuffer(payload, dtype="<f8").reshape(frames, dims).copy()
-            out.append(FeatureMatrix(values, utt, float(start_ms), float(hop_ms)))
+            try:
+                out.append(FeatureMatrix(values, utt, start_ms, hop_ms))
+            except ValueError as exc:
+                raise DataError(f"{path}: record {utt}: {exc}") from None
     return out

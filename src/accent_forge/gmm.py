@@ -79,33 +79,65 @@ def _as_matrix(x) -> np.ndarray:
     return values
 
 
-def _component_log_densities(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Per-frame, per-component Gaussian log densities, shape (K, N)."""
+# np.exp returns exactly +0.0 for every argument below this (its smallest
+# non-zero result is exp(-745.13...)); tests pin that fact
+EXP_ZERO_BELOW = -746.0
+
+
+def _log_joint(model: GmmModel, X: np.ndarray, x_sq: np.ndarray, out: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """log w_k + log N(x_n; mu_k, var_k) into out, shape (N, K); x_sq is X * X.
+
+    Evaluated in place as log_norm - 0.5 * (x_sq @ prec.T - 2 * (X @ (mu * prec).T)
+    + sum(mu * mu * prec)) + log w, one operation at a time in that order, so
+    the bits equal the expression's; work is an (N, K) scratch buffer.
+    """
     if X.shape[1] != model.dims:
         raise ValueError(f"feature dims {X.shape[1]} do not match model dims {model.dims}")
-    prec = 1.0 / model.variances  # (N, M)
-    log_norm = -0.5 * (model.dims * LOG_2PI + np.sum(np.log(model.variances), axis=1))
-    quad = (
-        (X * X) @ prec.T
-        - 2.0 * (X @ (model.means * prec).T)
-        + np.sum(model.means * model.means * prec, axis=1)
-    )
-    return log_norm[None, :] - 0.5 * quad
+    prec = 1.0 / model.variances
+    log_norm = -0.5 * (model.dims * LOG_2PI + np.log(model.variances).sum(axis=1))
+    np.matmul(x_sq, prec.T, out=out)
+    np.matmul(X, (model.means * prec).T, out=work)
+    work *= 2.0
+    out -= work
+    out += (model.means * model.means * prec).sum(axis=1)
+    out *= 0.5
+    np.subtract(log_norm, out, out=out)
+    out += np.log(model.weights)
+    return out
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp; addends are sorted so the result is order-invariant."""
+def _exp_in_place(a: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """np.exp(a) into a, bit for bit, without handing np.exp the arguments
+    whose result is exactly 0 (numpy's slow underflow path); below is a bool
+    scratch array of a's shape."""
+    np.less(a, EXP_ZERO_BELOW, out=below)
+    np.putmask(a, below, 0.0)
+    np.exp(a, out=a)
+    np.putmask(a, below, 0.0)
+    return a
+
+
+def _logsumexp_rows(z: np.ndarray, work: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of z; addends are sorted so the result is
+    order-invariant. work and below are scratch arrays of z's shape."""
     shift = z.max(axis=1, keepdims=True)
-    e = np.exp(z - shift)
-    e.sort(axis=1)
-    return shift[:, 0] + np.log(e.sum(axis=1))
+    np.subtract(z, shift, out=work)
+    _exp_in_place(work, below)
+    work.sort(axis=1)
+    total = work.sum(axis=1)
+    np.log(total, out=total)
+    total += shift[:, 0]
+    return total
 
 
 def frame_log_likelihoods(model: GmmModel, X) -> np.ndarray:
-    """Per-frame log mixture densities, shape (K,)."""
+    """Per-frame log mixture densities, shape (N,)."""
     X = _as_matrix(X)
-    logs = _component_log_densities(model, X) + np.log(model.weights)[None, :]
-    return _logsumexp_rows(logs)
+    shape = (X.shape[0], model.n_components)
+    log_joint, work = np.empty(shape), np.empty(shape)
+    _log_joint(model, X, X * X, log_joint, work)
+    return _logsumexp_rows(log_joint, work, np.empty(shape, dtype=bool))
 
 
 def mixture_log_likelihood(model: GmmModel, X) -> float:
@@ -139,6 +171,45 @@ def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (m, n) array, adding in the order numpy's pairwise
+    sum adds m contiguous values: below 8 one by one, up to 128 in eight
+    interleaved partial sums combined as a tree plus the tail, and above 128
+    as two halves whose split is a multiple of 8."""
+    m = rows.shape[0]
+    if m < 8:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    tail = m - m % 8
+    acc = rows[:8].copy()
+    for i in range(8, tail, 8):
+        acc += rows[i: i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = pairs[0] + pairs[1]
+    total += pairs[2] + pairs[3]
+    for row in rows[tail:]:
+        total += row
+    return total
+
+
+def _sq_distances(XT: np.ndarray, center: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """np.sum((X - center) ** 2, axis=1), bit for bit, from XT = X.T in C order.
+
+    numpy sums each short row of X as a pairwise sum from +0.0, one call per
+    row; here each step is one operation over all frames. work is XT's shape.
+    """
+    np.subtract(XT, center[:, None], out=work)
+    np.square(work, out=work)
+    total = _pairwise_sum(work)
+    total += 0.0
+    return total
+
+
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     """Seeded k-means++ with a fixed number of Lloyd iterations (at least one).
 
@@ -148,9 +219,11 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     returned labels, bit for bit as X[labels == i].mean(axis=0) computes it.
     """
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    work = np.empty_like(XT)
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = _sq_distances(XT, centers[0], work)
     for i in range(1, k):
         total = float(d2.sum())
         if not math.isfinite(total):
@@ -159,13 +232,14 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
             centers[i] = X[int(rng.integers(n))]
         else:
             centers[i] = X[_draw_index(rng, d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[i]) ** 2, axis=1))
+        np.minimum(d2, _sq_distances(XT, centers[i], work), out=d2)
 
     x_sq = np.sum(X * X, axis=1)[:, None]
     labels = np.zeros(n, dtype=np.intp)
+    dists = np.empty((n, k))
     for _ in range(iters):
         # x_sq - 2.0 * (X @ centers.T) + |centers|^2, in that order, built in place
-        dists = X @ centers.T
+        np.matmul(X, centers.T, out=dists)
         dists *= 2.0
         np.subtract(x_sq, dists, out=dists)
         dists += np.sum(centers * centers, axis=1)[None, :]
@@ -221,22 +295,29 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     weights /= weights.sum()
     model = GmmModel(weights, means, variances)
 
+    # the E-step runs in these buffers; every array the model keeps is fresh
     trace: list[float] = []
     x_sq = X * X
+    log_joint = np.empty((n_frames, n_components))
+    resp = np.empty_like(log_joint)
+    below = np.empty(log_joint.shape, dtype=bool)
+    sums = np.empty((n_components, dims))
+    sq_sums = np.empty_like(sums)
     for _ in range(opts.max_iters):
-        log_joint = _component_log_densities(model, X) + np.log(model.weights)[None, :]
-        frame_ll = _logsumexp_rows(log_joint)
+        _log_joint(model, X, x_sq, log_joint, resp)
+        frame_ll = _logsumexp_rows(log_joint, resp, below)
         ll = float(frame_ll.sum())
         trace.append(ll)
         if len(trace) >= 2 and ll - trace[-2] < opts.rel_tol * abs(trace[-2]):
             return model, trace
 
-        resp = np.exp(log_joint - frame_ll[:, None])
+        np.subtract(log_joint, frame_ll[:, None], out=resp)
+        _exp_in_place(resp, below)
         nk = resp.sum(axis=0)
         empty = nk <= 0.0
         nk_safe = np.where(empty, 1.0, nk)
-        new_means = (resp.T @ X) / nk_safe[:, None]
-        new_sq = (resp.T @ x_sq) / nk_safe[:, None]
+        new_means = np.matmul(resp.T, X, out=sums) / nk_safe[:, None]
+        new_sq = np.matmul(resp.T, x_sq, out=sq_sums) / nk_safe[:, None]
         new_vars = np.maximum(new_sq - new_means * new_means, floor)
         new_weights = nk / n_frames
         if np.any(empty):

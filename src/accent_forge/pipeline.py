@@ -118,7 +118,10 @@ def _check_fingerprint(directory: Path, expected: str, what: str) -> None:
     path = directory / "fingerprint.txt"
     if not path.exists():
         raise ConsistencyError(f"{path}: missing fingerprint for {what}")
-    actual = path.read_text(encoding="utf-8").strip()
+    try:
+        actual = path.read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if actual != expected:
         raise ConsistencyError(
             f"{what} at {directory} was produced under a different configuration "

@@ -68,7 +68,7 @@ def write_eval_report(path, report: EvaluationReport) -> None:
 def read_eval_report(path) -> EvaluationReport:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding
         raise DataError(f"{path}: cannot read evaluation report: {exc}")
     if payload.get("kind") != "evaluation":
         raise DataError(f"{path}: not an evaluation report")

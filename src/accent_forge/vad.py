@@ -100,7 +100,7 @@ def median_smooth(values, window: int) -> np.ndarray:
     for i in range(min(half, n)):
         out[i] = np.median(values[: i + half + 1])
     for i in range(max(n - half, 0), n):
-        out[i] = np.median(values[i - half:])
+        out[i] = np.median(values[max(i - half, 0):])
     return out
 
 
@@ -208,14 +208,18 @@ def save_mask(path, utterance_id: str, mask: SpeechMask) -> None:
 
 
 def load_mask(path) -> tuple[str, SpeechMask]:
-    """Read a speech mask written by save_mask."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        bits = fh.readline().strip()
-    if len(header) != 6 or header[0] != "ACMASK1":
+    """Read a speech mask written by save_mask; any damage is a DataError
+    naming the file."""
+    try:  # ValueError also covers text that is not UTF-8, or bits not ASCII
+        with open(path, "r", encoding="utf-8") as fh:
+            magic, utt, frame_len, hop, sr, n = fh.readline().split()
+            bits = fh.readline().strip()
+        frame_len, hop, sr, n = int(frame_len), int(hop), int(sr), int(n)
+        keep = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+    except ValueError:
+        raise DataError(f"{path}: not an ACMASK1 file") from None
+    if magic != "ACMASK1":
         raise DataError(f"{path}: not an ACMASK1 file")
-    _, utt, frame_len, hop, sr, n = header
-    if len(bits) != int(n):
+    if len(bits) != n:
         raise DataError(f"{path}: mask length {len(bits)} does not match header count {n}")
-    keep = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
-    return utt, SpeechMask(keep, int(frame_len), int(hop), int(sr))
+    return utt, SpeechMask(keep, frame_len, hop, sr)

@@ -617,3 +617,57 @@ def test_workers_env_override(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "accent-forge: usage error: ACCENT_FORGE_WORKERS" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def hlda_trained(shared_ws, tmp_path_factory):
+    """The context-0 workspace after training baseline-hlda through the CLI."""
+    manifest, cfg, features = shared_ws
+    root = tmp_path_factory.mktemp("hlda")
+    cfg_path = root / "ctx0.ini"
+    cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+    ws = root / "ws"
+    shutil.copytree(features, ws / "features")
+    assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                 "--out", str(ws), "--mode", "baseline-hlda"]) == 0
+    return manifest, cfg, cfg_path, ws
+
+
+@pytest.mark.parametrize(
+    "damaged",
+    ["config", "manifest", "fingerprint", "features", "mask", "alignment", "transform"],
+)
+def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys, damaged):
+    manifest, cfg, cfg_path, trained = hlda_trained
+    ws = tmp_path / "w"
+    shutil.copytree(trained, ws)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(manifest.parent, corpus)
+    manifest = corpus / manifest.name
+    config = tmp_path / "c.ini"
+    shutil.copy(cfg_path, config)
+    _, train = split_ids(manifest, cfg, "train")
+    command, mode, blob = "train", "vowel-hlda", b"\xff\xfe\n"
+    target = {
+        "config": config,
+        "manifest": manifest,
+        "fingerprint": ws / "features" / "fingerprint.txt",
+        "features": ws / "features" / f"{train[0].utterance_id}.feat",
+        "mask": ws / "features" / f"{train[0].utterance_id}.mask",
+        "alignment": corpus / str(train[0].alignment_path),
+        "transform": ws / "models-baseline-hlda" / "transform.lin",
+    }[damaged]
+    if damaged == "transform":  # evaluate reads the model set's copy
+        command, mode, blob = "evaluate", "baseline-hlda", b"ACHLDA1 hlda a 2 1\n"
+        listing = ws / "models-baseline-hlda" / "modelset.txt"
+        listing.write_text(listing.read_text().replace(
+            hashlib.sha256(target.read_bytes()).hexdigest(), hashlib.sha256(blob).hexdigest()
+        ))
+    target.write_bytes(blob)
+    capsys.readouterr()
+    rc = main([command, "--manifest", str(manifest), "--config", str(config),
+               "--out", str(ws), "--mode", mode])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "accent-forge: data error:" in err and target.name in err
+    assert "Traceback" not in err

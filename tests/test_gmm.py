@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from accent_forge.errors import DataError
+from accent_forge import gmm
 from accent_forge.gmm import (
     _draw_index,
+    _exp_in_place,
     _kmeans,
-    MIN_VARIANCE,
+    _pairwise_sum,
+    _sq_distances,
+    EXP_ZERO_BELOW,
     EmOptions,
     GmmModel,
     em_fit,
@@ -17,7 +21,17 @@ from accent_forge.gmm import (
     mixture_log_likelihood,
     save_gmm,
 )
-from gmm_reference import component_posteriors, gaussian_log_density, mean_log_likelihood
+from gmm_reference import (
+    component_log_densities,
+    component_posteriors,
+    gaussian_log_density,
+    logsumexp_rows,
+    mean_log_likelihood,
+    naive_em_init,
+    reference_em_fit,
+    reference_frame_log_likelihoods,
+    scan_kmeans,
+)
 
 
 def naive_density(x, mean, var):
@@ -217,40 +231,6 @@ class TestEmFit:
         assert mixture_log_likelihood(model, X) == pytest.approx(trace[-1], abs=1e-9)
 
 
-def scan_kmeans(X, k, rng, iters=10):
-    """Reference k-means: per-cluster membership scans, as first written."""
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[int(rng.integers(n))]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            centers[i] = X[int(rng.integers(n))]
-        else:
-            centers[i] = X[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((X - centers[i]) ** 2, axis=1))
-    labels = np.zeros(n, dtype=np.intp)
-    for _ in range(iters):
-        dists = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ centers.T)
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
-        labels = np.argmin(dists, axis=1)
-        empties = [i for i in range(k) if not np.any(labels == i)]
-        if empties:
-            order = np.argsort(-np.min(dists, axis=1), kind="stable")
-            for i, worst in zip(empties, order):
-                centers[i] = X[worst]
-                labels[int(worst)] = i
-        for i in range(k):
-            member = labels == i
-            if np.any(member):
-                centers[i] = X[member].mean(axis=0)
-    return centers, labels
-
-
 START_CASES = [
     "spread", "duplicates", "few_distinct", "negative_zero", "one_column", "vowel", "baseline",
 ]
@@ -278,6 +258,33 @@ def start_case(case, rng):
     return blobs[rng.integers(0, 8, n)] + rng.standard_normal((n, 20)), 64
 
 
+ROW_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 20, 39, 64, 117, 127, 128, 129, 136, 255, 300]
+
+
+@pytest.mark.parametrize("d", ROW_LENGTHS)
+def test_pairwise_sum_matches_numpy_row_sums(d):
+    # the k-means seeding sums columns in numpy's pairwise order for one row;
+    # signed zeros, cancellation and wide magnitudes make every order differ
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((400, d)) * np.exp(rng.uniform(-20.0, 20.0, (400, d)))
+    A[rng.uniform(size=A.shape) < 0.1] = -0.0
+    A[5] = -0.0
+    A[6] = 0.0
+    total = _pairwise_sum(np.ascontiguousarray(A.T))
+    total += 0.0
+    assert total.tobytes() == np.sum(A, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("d", ROW_LENGTHS)
+def test_sq_distances_match_numpy(d):
+    rng = np.random.default_rng(100 + d)
+    X = rng.standard_normal((300, d)) * np.exp(rng.uniform(-5.0, 5.0, d))
+    XT = np.ascontiguousarray(X.T)
+    for center in (X[3], X[3] * 0.5 + 1.0):
+        expected = np.sum((X - center) ** 2, axis=1)
+        assert _sq_distances(XT, center, np.empty_like(XT)).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("case", START_CASES)
 def test_kmeans_matches_scan_reference(case):
     X, k = start_case(case, np.random.default_rng(3))
@@ -286,28 +293,6 @@ def test_kmeans_matches_scan_reference(case):
         ref_centers, ref_labels = scan_kmeans(X, k, np.random.default_rng(seed))
         assert centers.tobytes() == ref_centers.tobytes()  # bit for bit, signs of zero too
         assert np.array_equal(labels, ref_labels)
-
-
-def naive_em_init(X, k, opts):
-    """EM's starting model as first written: boolean-mask means, counts and variances."""
-    rng = np.random.default_rng(opts.seed)
-    global_var = X.var(axis=0)
-    floor = np.maximum(opts.variance_floor_factor * global_var, MIN_VARIANCE)
-    centers, labels = scan_kmeans(X, k, rng)
-    weights = np.zeros(k)
-    means = centers.copy()
-    variances = np.tile(np.maximum(global_var, floor), (k, 1))
-    for i in range(k):
-        member = labels == i
-        count = int(np.count_nonzero(member))
-        weights[i] = count / X.shape[0]
-        if count:
-            means[i] = X[member].mean(axis=0)
-        if count >= 2:
-            variances[i] = np.maximum(X[member].var(axis=0), floor)
-    weights = np.maximum(weights, 1.0 / (10.0 * X.shape[0]))
-    weights /= weights.sum()
-    return GmmModel(weights, means, variances)
 
 
 @pytest.mark.parametrize("case", START_CASES)
@@ -319,6 +304,178 @@ def test_em_starts_from_naive_initialization(case):
         opts = EmOptions(max_iters=1, seed=seed)
         _, trace = em_fit(X, k, opts)
         assert trace[0] == mixture_log_likelihood(naive_em_init(X, k, opts), X)
+
+
+# exp(x) is subnormal for x in (-745.14, -708.4) and rounds to 0 below that
+SUBNORMAL_BAND = (-745.14, -708.4)
+
+EM_CASES = [
+    "random", "far_outliers", "starved_component", "one_column", "one_component",
+    "vowel", "baseline",
+]
+
+
+def em_case(case, rng):
+    """Frames, a component count and EM options for the reference comparisons."""
+    if case == "random":
+        return rng.standard_normal((300, 4)) * 2.0 + 1.0, 8, {}
+    if case == "far_outliers":  # log-responsibilities below -746 and in the subnormal band
+        X = rng.standard_normal((400, 3))
+        far = rng.uniform(size=400) < 0.05
+        X[far] *= rng.uniform(20.0, 80.0, (int(far.sum()), 1))
+        return X, 6, {}
+    if case == "starved_component":
+        # single-member clusters keep the global variance and lose their own
+        # frame to a duplicate cluster floored at MIN_VARIANCE by about 722
+        # nats: their whole responsibility is subnormal, not zero, so they
+        # are not re-seeded
+        X = np.repeat(rng.standard_normal((5, 64)), 8, axis=0)
+        return X, 9, {"variance_floor_factor": 1e-12}
+    if case == "one_column":
+        return rng.standard_normal((600, 1)) * 3.0, 5, {}
+    if case == "one_component":
+        return rng.standard_normal((200, 5)) + 4.0, 1, {}
+    # bench reference shapes: one vowel model's frames (20 HLDA dims) and one
+    # accent's PLP frames (39 dims), 64 components each
+    n, d = (380, 20) if case == "vowel" else (5500, 39)
+    blobs = rng.standard_normal((8, d)) * 3.0
+    return blobs[rng.integers(0, 8, n)] + rng.standard_normal((n, d)), 64, {}
+
+
+def log_responsibilities(model, X):
+    log_joint = component_log_densities(model, X) + np.log(model.weights)[None, :]
+    return log_joint - logsumexp_rows(log_joint)[:, None]
+
+
+def assert_same_bytes(model, trace, ref_model, ref_trace):
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.means.tobytes() == ref_model.means.tobytes()
+    assert model.variances.tobytes() == ref_model.variances.tobytes()
+    assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
+
+
+@pytest.mark.parametrize("case", EM_CASES)
+def test_em_fit_matches_reference(case):
+    rng = np.random.default_rng(5)
+    X, k, extra = em_case(case, rng)
+    probes = np.vstack([X[:50], X[:50] * 5.0 + 3.0, rng.standard_normal((20, X.shape[1])) * 40.0])
+    for seed in range(1 if case == "baseline" else 3):
+        opts = EmOptions(seed=seed, **extra)
+        model, trace = em_fit(X, k, opts)
+        ref_model, ref_trace = reference_em_fit(X, k, opts)
+        assert_same_bytes(model, trace, ref_model, ref_trace)
+        for frames in (X, probes):
+            expected = reference_frame_log_likelihoods(model, frames)
+            assert frame_log_likelihoods(model, frames).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["far_outliers", "starved_component"])
+def test_em_cases_reach_the_underflow_bands(case):
+    X, k, extra = em_case(case, np.random.default_rng(5))
+    args = log_responsibilities(naive_em_init(X, k, EmOptions(seed=0, **extra)), X)
+    assert np.any(args < EXP_ZERO_BELOW)
+    in_band = (args > SUBNORMAL_BAND[0]) & (args < SUBNORMAL_BAND[1])
+    if case == "far_outliers":
+        assert np.any(in_band)
+    else:  # some component's largest responsibility is subnormal
+        best = args.max(axis=0)
+        assert np.any((best > SUBNORMAL_BAND[0]) & (best < SUBNORMAL_BAND[1]))
+
+
+def test_frame_log_likelihoods_with_a_zero_weight_match_reference():
+    # log 0 = -inf, so the zero-weight component's exp argument is -inf
+    rng = np.random.default_rng(18)
+    model = random_model(rng, 4, 3)
+    model.weights = np.array([0.0, 0.5, 0.25, 0.25])
+    X = rng.standard_normal((30, 3)) * 10.0
+    with np.errstate(divide="ignore"):
+        expected = reference_frame_log_likelihoods(model, X)
+        assert frame_log_likelihoods(model, X).tobytes() == expected.tobytes()
+
+
+def test_exp_in_place_matches_np_exp():
+    rng = np.random.default_rng(19)
+    edges = np.array([-746.0, np.nextafter(-746.0, 0.0), -745.14, -745.13, -708.4, -708.39,
+                      -np.inf, np.nan, 0.0, -0.0, 1.0, 700.0])
+    args = np.concatenate([
+        rng.uniform(-800.0, 5.0, 5000), rng.uniform(-746.5, -708.0, 5000), edges,
+    ])
+    rng.shuffle(args)
+    for shape in ((args.size,), (args.size // 4, 4)):
+        a = args[: np.prod(shape)].reshape(shape).copy()
+        expected = np.exp(a)
+        got = _exp_in_place(a, np.empty(a.shape, dtype=bool))
+        assert got is a
+        assert got.tobytes() == expected.tobytes()
+
+
+class _RecordingNumpy:
+    """numpy, with every array made by empty or empty_like remembered."""
+
+    def __init__(self):
+        self.made = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.made.append(np.empty(*args, **kwargs))
+        return self.made[-1]
+
+    def empty_like(self, *args, **kwargs):
+        self.made.append(np.empty_like(*args, **kwargs))
+        return self.made[-1]
+
+
+def test_em_fit_returns_fresh_arrays(monkeypatch):
+    X, k, _ = em_case("random", np.random.default_rng(6))
+    opts = EmOptions(seed=2)
+    first, first_trace = em_fit(X, k, opts)
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(gmm, "np", recording)
+    second, second_trace = em_fit(X, k, opts)
+    monkeypatch.undo()
+    assert_same_bytes(second, second_trace, first, first_trace)
+    assert len(recording.made) >= 5  # the E-step and M-step work buffers
+    returned = (second.weights, second.means, second.variances)
+    for arr in returned:
+        assert not any(np.shares_memory(arr, buf) for buf in recording.made)
+        assert not any(np.shares_memory(arr, old) for old in (first.weights, first.means, first.variances))
+
+
+def test_np_exp_is_positive_zero_below_threshold():
+    # the E-step skips exp for arguments below EXP_ZERO_BELOW and writes
+    # +0.0, which is bit-identical only while numpy's exp returns +0.0 there
+    rng = np.random.default_rng(20)
+    args = np.concatenate([
+        np.linspace(-1000.0, EXP_ZERO_BELOW, 200_001),
+        -np.geomspace(1000.0, 1e300, 200_001),
+        -rng.uniform(-EXP_ZERO_BELOW, 1e4, 100_000),
+        [EXP_ZERO_BELOW, -np.inf, -1e300, -np.finfo(np.float64).max],
+    ])
+    assert np.all(args <= EXP_ZERO_BELOW)
+    result = np.exp(args)
+    assert result.tobytes() == np.zeros_like(args).tobytes()  # +0.0, sign bit clear
+    for x in (EXP_ZERO_BELOW, -1e300, -np.inf):
+        assert np.exp(np.float64(x)) == 0.0 and not np.signbit(np.exp(np.float64(x)))
+
+
+def test_np_exp_ignores_neighbours():
+    # each element's exp is the same whatever surrounds it in the array
+    rng = np.random.default_rng(21)
+    args = np.concatenate([
+        rng.uniform(-800.0, 0.0, 3000), rng.uniform(-746.5, -708.0, 3000),
+        rng.uniform(-50.0, 50.0, 1000), [-np.inf, -746.0, -745.13, 0.0, -0.0, np.nan],
+    ])
+    rng.shuffle(args)
+    whole = np.exp(args)
+    one_by_one = np.array([np.exp(args[i: i + 1])[0] for i in range(args.size)])
+    strided = np.exp(args[::3])
+    assert whole.tobytes() == one_by_one.tobytes()
+    assert strided.tobytes() == whole[::3].tobytes()
+    for block in (7, 64, 1000):
+        pieces = np.concatenate([np.exp(args[i: i + block]) for i in range(0, args.size, block)])
+        assert pieces.tobytes() == whole.tobytes()
 
 
 def draw_vectors(rng):

@@ -101,6 +101,21 @@ class TestMedianSmooth:
         with pytest.raises(ValueError):
             median_smooth([1.0, 2.0], 2)
 
+    def test_short_sequence_right_edge(self):
+        assert median_smooth([3.0, 7.0, 1.0], 5).tolist() == [3.0, 3.0, 3.0]
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    def test_every_length_matches_window_medians(self, window):
+        # lengths below the window give every position a truncated window
+        rng = np.random.default_rng(window)
+        half = window // 2
+        for n in range(2 * window + 1):
+            values = rng.standard_normal(n)
+            oracle = np.array([
+                np.median(values[max(0, i - half): min(n, i + half + 1)]) for i in range(n)
+            ])
+            assert median_smooth(values, window).tobytes() == oracle.tobytes(), n
+
 
 class TestEstimateThreshold:
     def test_bimodal(self):
