@@ -262,47 +262,40 @@ MODELSET_MAGIC = "ACMSET1"
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# the lines of each manifest kind, in file order: tag -> fields after the tag (0: one or more)
+_MANIFEST_LINES = {
+    "baseline": {"fingerprint": 1, "transform": 2, "gmm": 3},
+    "vowel": {"fingerprint": 1, "transform": 2, "tau": 1, "subset": 0, "weight": 2, "gmm": 4},
+}
 
 
 def save_model_set(out_dir, model_set) -> Path:
-    """Write a model set directory: manifest plus one ACGMM1 file per model."""
+    """Write a model set directory: manifest plus one ACGMM1 file per model.
+
+    A model's key is (accent,) in a baseline set and (accent, vowel) in a
+    vowel set; its file is models/<key joined by _>.gmm.
+    """
+    if not isinstance(model_set, (AccentModelSet, VowelModelSet)):
+        raise TypeError(f"cannot serialize {type(model_set).__name__}")
+    vowel = isinstance(model_set, VowelModelSet)
     out_dir = Path(out_dir)
     (out_dir / "models").mkdir(parents=True, exist_ok=True)
-    lines = []
-    if isinstance(model_set, AccentModelSet):
-        lines.append(f"{MODELSET_MAGIC} baseline")
-        lines.append(f"fingerprint {model_set.fingerprint or '-'}")
-        if model_set.transform_ref:
-            lines.append(
-                f"transform {model_set.transform_ref} {_sha256(out_dir / model_set.transform_ref)}"
-            )
-        for lab in model_set.labels:
-            rel = f"models/{lab}.gmm"
-            save_gmm(out_dir / rel, model_set.models[lab])
-            lines.append(f"gmm {lab} {rel} {_sha256(out_dir / rel)}")
-    elif isinstance(model_set, VowelModelSet):
-        lines.append(f"{MODELSET_MAGIC} vowel")
-        lines.append(f"fingerprint {model_set.fingerprint or '-'}")
-        if model_set.transform_ref:
-            lines.append(
-                f"transform {model_set.transform_ref} {_sha256(out_dir / model_set.transform_ref)}"
-            )
-        lines.append(f"tau {model_set.confidence_tau!r}")
-        lines.append("subset " + " ".join(model_set.subset))
-        for v in model_set.subset:
-            lines.append(f"weight {v} {model_set.weights[v]!r}")
-        for lab in model_set.labels:
-            for v in model_set.subset:
-                rel = f"models/{lab}_{v}.gmm"
-                save_gmm(out_dir / rel, model_set.models[(lab, v)])
-                lines.append(f"gmm {lab} {v} {rel} {_sha256(out_dir / rel)}")
-    else:
-        raise TypeError(f"cannot serialize {type(model_set).__name__}")
+    lines = [f"{MODELSET_MAGIC} {'vowel' if vowel else 'baseline'}",
+             f"fingerprint {model_set.fingerprint or '-'}"]
+    if model_set.transform_ref:
+        ref = model_set.transform_ref
+        lines.append(f"transform {ref} {_sha256(out_dir / ref)}")
+    if vowel:
+        lines += [f"tau {model_set.confidence_tau!r}", "subset " + " ".join(model_set.subset)]
+        lines += [f"weight {v} {model_set.weights[v]!r}" for v in model_set.subset]
+    for lab in model_set.labels:
+        for key in [(lab, v) for v in model_set.subset] if vowel else [(lab,)]:
+            rel = f"models/{'_'.join(key)}.gmm"
+            save_gmm(out_dir / rel, model_set.models[key if vowel else lab])
+            lines.append(f"gmm {' '.join(key)} {rel} {_sha256(out_dir / rel)}")
     manifest = out_dir / "modelset.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
@@ -319,69 +312,59 @@ def load_model_set(in_dir):
     except UnicodeDecodeError as exc:
         raise DataError(f"{manifest}: not UTF-8 text (byte {exc.start})") from None
     header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != MODELSET_MAGIC or header[1] not in ("baseline", "vowel"):
+    if len(header) != 2 or header[0] != MODELSET_MAGIC or header[1] not in _MANIFEST_LINES:
         raise DataError(f"{manifest}: not an {MODELSET_MAGIC} baseline or vowel manifest")
     kind = header[1]
-    # fields per line, tag included; a subset line needs at least one vowel
-    arity = {"fingerprint": 2, "transform": 3, "tau": 2, "weight": 3,
-             "gmm": 4 if kind == "baseline" else 5}
+    arity = _MANIFEST_LINES[kind]
 
     fingerprint = ""
     transform_ref = None
     tau = float("-inf")
     subset: list[str] = []
     weights: dict[str, float] = {}
-    labels: list[str] = []
-    models: dict = {}
-
-    def checked(rel: str, recorded: str) -> Path:
-        path = in_dir / rel
-        if not path.is_file():
-            raise DataError(f"{path}: listed in {manifest} but missing")
-        actual = _sha256(path)
-        if actual != recorded:
-            raise ConsistencyError(f"{path}: SHA-256 mismatch (corrupt or substituted file)")
-        return path
+    models: dict[tuple[str, ...], GmmModel] = {}
 
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
+        if not line.split():
             continue
-        tag = parts[0]
+        tag, *fields = line.split()
         where = f"{manifest}, line {lineno}"
-        if len(parts) != arity.get(tag, len(parts)) or (tag == "subset" and len(parts) < 2):
+        if tag not in arity:
+            raise DataError(f"{where}: unrecognized line in a {kind} manifest: {line!r}")
+        if not fields or (arity[tag] and len(fields) != arity[tag]):
             raise DataError(f"{where}: wrong number of fields in {tag!r} line: {line!r}")
         try:
-            value = float(parts[-1]) if tag in ("tau", "weight") else None
+            value = float(fields[-1]) if tag in ("tau", "weight") else None
         except ValueError:
             raise DataError(f"{where}: not a number in {tag!r} line: {line!r}") from None
+        if tag in ("transform", "gmm"):
+            path = in_dir / fields[-2]
+            if not path.is_file():
+                raise DataError(f"{path}: listed in {manifest} but missing")
+            if _sha256(path) != fields[-1]:
+                raise ConsistencyError(f"{path}: SHA-256 mismatch (corrupt or substituted file)")
 
         if tag == "fingerprint":
-            fingerprint = "" if parts[1] == "-" else parts[1]
+            fingerprint = "" if fields[0] == "-" else fields[0]
         elif tag == "transform":
-            checked(parts[1], parts[2])
-            transform_ref = parts[1]
+            transform_ref = fields[0]
         elif tag == "tau":
             tau = value
         elif tag == "subset":
-            subset = parts[1:]
+            subset = fields
         elif tag == "weight":
-            weights[parts[1]] = value
-        elif tag == "gmm" and kind == "baseline":
-            lab, rel, digest = parts[1:]
-            models[lab] = load_gmm(checked(rel, digest))
-            labels.append(lab)
-        elif tag == "gmm" and kind == "vowel":
-            lab, v, rel, digest = parts[1:]
-            models[(lab, v)] = load_gmm(checked(rel, digest))
-            if lab not in labels:
-                labels.append(lab)
+            weights[fields[0]] = value
         else:
-            raise DataError(f"{where}: unrecognized manifest line: {line!r}")
+            key = tuple(fields[:-2])
+            if key in models:
+                raise DataError(f"{where}: a second model for {' '.join(key)}")
+            models[key] = load_gmm(path)
 
+    labels = list(dict.fromkeys(key[0] for key in models))  # in order of first appearance
     try:
         if kind == "baseline":
-            return AccentModelSet(labels, models, fingerprint, transform_ref)
+            return AccentModelSet(labels, {lab: m for (lab,), m in models.items()},
+                                  fingerprint, transform_ref)
         return VowelModelSet(
             labels, subset, weights, models,
             fingerprint=fingerprint, transform_ref=transform_ref, confidence_tau=tau,

@@ -89,8 +89,10 @@ def load_audio(path) -> AudioBuffer:
             payload = wf.readframes(n_frames)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found")
-    except (wave.Error, EOFError) as exc:
-        raise DataError(f"{path}: not a readable PCM waveform ({exc})")
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past its end
+        raise DataError(f"{path}: not a readable PCM waveform ({exc!r})")
+    if len(payload) % (sampwidth * n_channels):
+        raise DataError(f"{path}: truncated waveform (ends inside a {n_channels}-channel sample frame)")
 
     if sampwidth == 1:
         raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
@@ -105,7 +107,10 @@ def load_audio(path) -> AudioBuffer:
 
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels).mean(axis=1)
-    return AudioBuffer(samples, sample_rate)
+    try:
+        return AudioBuffer(samples, sample_rate)
+    except ValueError as exc:  # a zero sample rate
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_audio(path, audio: AudioBuffer) -> None:

@@ -68,7 +68,6 @@ class PipelineConfig:
             raise ValueError("n_components and vowel_subset_size must be >= 1")
 
 
-# section -> key -> (target dataclass attribute, converter)
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -78,48 +77,22 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_SCHEMA = {
-    "vad": {
-        "frame_len_ms": float,
-        "hop_ms": float,
-        "smooth_window": int,
-        "threshold_weight": float,
-        "min_segment_ms": float,
-    },
-    "plp": {
-        "frame_len_ms": float,
-        "hop_ms": float,
-        "lp_order": int,
-        "num_cepstra": int,
-        "num_bark_bands": int,
-        "preemphasis": float,
-        "delta_window": int,
-    },
-    "model": {
-        "context_size": int,
-        "reduced_dim": int,
-        "transform": str,
-        "n_components": int,
-        "vowel_subset_size": int,
-        "mvn_scope": str,
-        "frame_normalized_vowel_scores": _bool,
-    },
-    "em": {
-        "max_iters": int,
-        "rel_tol": float,
-        "variance_floor_factor": float,
-    },
-    "run": {
-        "seed": int,
-    },
-    "synth": {
-        "accents": lambda s: s.split(),
-        "utterances_per_accent": int,
-        "duration_s": float,
-        "sample_rate": int,
-        "formant_shift": float,
-    },
-}
+# a field's annotation string -> the converter of its config value
+_CONVERTERS = {"float": float, "int": int, "int | None": int, "str": str, "bool": _bool,
+               "list[str]": str.split}
+
+
+def _keys(cls, *skip: str) -> dict:
+    """key -> converter for the fields of a config dataclass, by annotation."""
+    return {f.name: _CONVERTERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# the sections that fill a nested config; [model] holds PipelineConfig's own
+# scalars, and the seed lives in [run] alone
+_SECTIONS = {"vad": VadConfig, "plp": PlpConfig, "em": EmOptions, "synth": SynthSpec}
+_SCHEMA = {name: _keys(cls, "seed") for name, cls in _SECTIONS.items()}
+_SCHEMA.update(model=_keys(PipelineConfig, "seed", *_SECTIONS), run={"seed": int})
+
 
 def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     """Read a '[section]' / 'key = value' file into a PipelineConfig."""
@@ -146,19 +119,11 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
             except ValueError as exc:
                 raise DataError(f"{path}: bad value for [{section}] {key}: {exc}")
 
-    if seed_override is not None:
-        values["run"]["seed"] = seed_override
+    seed = values["run"].get("seed", 0) if seed_override is None else seed_override
+    values["em"]["seed"] = seed
     try:
-        em_kwargs = dict(values["em"])
-        em_kwargs["seed"] = values["run"].get("seed", 0)
-        return PipelineConfig(
-            vad=VadConfig(**values["vad"]),
-            plp=PlpConfig(**values["plp"]),
-            em=EmOptions(**em_kwargs),
-            synth=SynthSpec(**values["synth"]),
-            seed=values["run"].get("seed", 0),
-            **values["model"],
-        )
+        sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
+        return PipelineConfig(**sections, **values["model"], seed=seed)
     except ValueError as exc:
         raise DataError(f"{path}: invalid configuration: {exc}")
 
@@ -175,10 +140,7 @@ def canonical_lines(cfg: PipelineConfig) -> list[str]:
     for section, obj in (("vad", cfg.vad), ("plp", cfg.plp), ("em", cfg.em)):
         for f in fields(obj):
             lines.append(f"{section}.{f.name}={getattr(obj, f.name)!r}")
-    for name in (
-        "context_size", "reduced_dim", "transform", "n_components",
-        "vowel_subset_size", "mvn_scope", "frame_normalized_vowel_scores", "seed",
-    ):
+    for name in [*_SCHEMA["model"], "seed"]:
         lines.append(f"model.{name}={getattr(cfg, name)!r}")
     return sorted(lines)
 

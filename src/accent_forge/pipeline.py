@@ -15,7 +15,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,7 @@ from .features import (
     read_feature_archive,
     write_feature_archive,
 )
-from .gmm import EmOptions, em_fit
+from .gmm import em_fit
 from .report import (
     EvaluationReport,
     VadReport,
@@ -230,25 +230,71 @@ def plp_with_deltas(speech, cfg: PipelineConfig, utterance_id: str) -> FeatureMa
     return append_deltas(static, cfg.plp.delta_window)
 
 
-def _load_features(feat_dir: Path, utterance_id: str) -> FeatureMatrix:
-    path = feat_dir / f"{utterance_id}.feat"
-    if not path.exists():
-        raise DataError(f"{path}: features for {utterance_id} not found; run featurize first")
-    records = read_feature_archive(path)
-    if len(records) != 1:
-        raise DataError(f"{path}: expected a single-utterance archive")
-    return records[0]
+@dataclass
+class _Run:
+    """What train and evaluate share: the workspace and the seeded split."""
+
+    cfg: PipelineConfig
+    root: Path
+    manifest_dir: Path
+    labels: list[str]  # the manifest's accent inventory
+    parts: dict[str, list[ManifestEntry]]  # train/dev/test, each in manifest order
+    fingerprint: str
+
+    def features(self, entry: ManifestEntry) -> FeatureMatrix:
+        path = self.root / "features" / f"{entry.utterance_id}.feat"
+        if not path.exists():
+            raise DataError(f"{path}: features for {entry.utterance_id} not found; run featurize first")
+        records = read_feature_archive(path)
+        if len(records) != 1:
+            raise DataError(f"{path}: expected a single-utterance archive")
+        return records[0]
+
+    def vowel_view(self, entry: ManifestEntry, feats: FeatureMatrix, transform: LinearTransform, tau: float):
+        """Projected features and the confidence-filtered, silence-compacted vowel segments."""
+        utt = entry.utterance_id
+        if not entry.alignment_path:
+            raise DataError(f"{utt}: manifest has no alignment path (vowel mode needs one)")
+        segments = parse_alignment(_resolve(self.manifest_dir, entry.alignment_path))
+        segments, _ = filter_by_confidence(segments, tau)
+        _, mask = load_mask(self.root / "features" / f"{utt}.mask")
+        remap = vad_mask_to_alignment_time(mask)
+        remapped = [remap.segment(s) for s in segments]
+        return _model_input(feats, self.cfg, transform), [s for s in remapped if s is not None]
 
 
-def _fit_transform(
-    cfg: PipelineConfig, train_feats: list[tuple[str, FeatureMatrix]], labels: list[str]
-) -> tuple[LinearTransform, dict]:
+def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: str) -> _Run:
+    """Check the mode, read the manifest, check the features' fingerprint and split."""
+    if mode not in MODES:
+        raise DataError(f"unknown {action} mode {mode!r}; expected one of {MODES}")
+    manifest_path = Path(manifest_path)
+    manifest = parse_manifest(manifest_path)
+    root = Path(out_dir)
+    fingerprint = config_fingerprint(cfg)
+    _check_fingerprint(root / "features", fingerprint, "feature archive")
+    tags = split_dataset(manifest, seed=cfg.seed).tags
+    parts = {
+        part: [e for e in manifest.entries if tags.get(e.utterance_id) == part]
+        for part in ("train", "dev", "test")
+    }
+    return _Run(cfg, root, manifest_path.parent, manifest.inventory, parts, fingerprint)
+
+
+def _model_input(feats: FeatureMatrix, cfg: PipelineConfig, transform: LinearTransform | None) -> FeatureMatrix:
+    """What the models see: the archived features, or their expanded projection."""
+    if transform is None:
+        return feats
+    return project(transform, context_expand(feats, cfg.context_size))
+
+
+def _fit_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]) -> tuple[LinearTransform, dict]:
     """Fit the configured reduction on context-expanded, accent-labeled frames.
 
     Returns the transform and the fit's record: its kind, and for HLDA the
     sweep count, the final objective and whether the last sweep converged.
     """
-    label_index = {lab: i for i, lab in enumerate(labels)}
+    cfg = run.cfg
+    label_index = {lab: i for i, lab in enumerate(run.labels)}
     blocks = []
     block_labels = []
     for accent, feats in train_feats:
@@ -284,13 +330,7 @@ def _replace_atomically(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)  # left behind only if write or replace failed
 
 
-def _workspace_transform(
-    root: Path,
-    cfg: PipelineConfig,
-    labels: list[str],
-    train_ids: list[str],
-    train_feats: list[tuple[str, FeatureMatrix]],
-) -> LinearTransform:
+def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]) -> LinearTransform:
     """The workspace's discriminant transform, fitted once and shared by every mode.
 
     transform/transform.lin holds the transform and transform/fit.json its
@@ -301,18 +341,18 @@ def _workspace_transform(
     the key and the file hash both match and the file loads; in any other
     state the transform is refitted and both files are rewritten.
     """
-    if cfg.transform == "none":
+    if run.cfg.transform == "none":
         raise DataError("this training mode needs [model] transform = lda or hlda")
     digest = hashlib.sha256()
-    head = [TRANSFORM_CACHE_FORMAT, config_fingerprint(cfg), list(labels)]
+    head = [TRANSFORM_CACHE_FORMAT, run.fingerprint, list(run.labels)]
     digest.update(json.dumps(head).encode("utf-8") + b"\n")
-    for utt, (accent, feats) in zip(train_ids, train_feats):
+    for entry, (accent, feats) in zip(run.parts["train"], train_feats):
         values = np.ascontiguousarray(feats.values, dtype="<f8")
-        digest.update(json.dumps([utt, accent, *values.shape]).encode("utf-8") + b"\n")
+        digest.update(json.dumps([entry.utterance_id, accent, *values.shape]).encode("utf-8") + b"\n")
         digest.update(values.tobytes())
     key = digest.hexdigest()
 
-    cache = root / "transform"
+    cache = run.root / "transform"
     lin_path, record_path = cache / "transform.lin", cache / "fit.json"
     try:
         stored = json.loads(record_path.read_text(encoding="utf-8"))
@@ -328,7 +368,7 @@ def _workspace_transform(
     except (OSError, ValueError, DataError):
         pass  # no usable cache: fit below
 
-    transform, record = _fit_transform(cfg, train_feats, labels)
+    transform, record = _fit_transform(run, train_feats)
     cache.mkdir(parents=True, exist_ok=True)
     _replace_atomically(lin_path, lambda tmp: save_transform(tmp, transform))
     lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
@@ -339,79 +379,42 @@ def _workspace_transform(
     return transform
 
 
-def _frontend(feats: FeatureMatrix, cfg: PipelineConfig, transform: LinearTransform | None) -> FeatureMatrix:
-    expanded = context_expand(feats, cfg.context_size)
-    return project(transform, expanded) if transform is not None else expanded
-
-
-def _vowel_segments_for(
-    entry: ManifestEntry, manifest_dir: Path, feat_dir: Path, tau: float
-):
-    """Confidence-filtered, silence-compacted vowel segments for one utterance."""
-    if not entry.alignment_path:
-        raise DataError(f"{entry.utterance_id}: manifest has no alignment path (vowel mode needs one)")
-    segments = parse_alignment(_resolve(manifest_dir, entry.alignment_path))
-    segments, _ = filter_by_confidence(segments, tau)
-    _, mask = load_mask(feat_dir / f"{entry.utterance_id}.mask")
-    remap = vad_mask_to_alignment_time(mask)
-    remapped = [remap.segment(s) for s in segments]
-    return [s for s in remapped if s is not None]
-
-
 def _per_vowel_matrix(projected: FeatureMatrix, segments, vowels) -> dict[str, FeatureMatrix]:
     return {v: extract_vowel_frames(projected, segments, v) for v in vowels}
 
 
 def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     """Train one of the three model configurations and serialize it."""
-    if mode not in MODES:
-        raise DataError(f"unknown training mode {mode!r}; expected one of {MODES}")
-    manifest_path = Path(manifest_path)
-    manifest = parse_manifest(manifest_path)
-    root = Path(out_dir)
-    feat_dir = root / "features"
-    fingerprint = config_fingerprint(cfg)
-    _check_fingerprint(feat_dir, fingerprint, "feature archive")
-
-    labels = manifest.inventory
-    split = split_dataset(manifest, seed=cfg.seed)
-    entries = {e.utterance_id: e for e in manifest.entries}
-    train_ids = [utt for utt in (e.utterance_id for e in manifest.entries) if split.tags.get(utt) == "train"]
-    dev_ids = [utt for utt in (e.utterance_id for e in manifest.entries) if split.tags.get(utt) == "dev"]
-
-    train_feats = [(entries[utt].accent, _load_features(feat_dir, utt)) for utt in train_ids]
-    model_dir = root / f"models-{mode}"
+    run = _open_run(manifest_path, cfg, out_dir, mode, "training")
+    train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
+    model_dir = run.root / f"models-{mode}"
     model_dir.mkdir(parents=True, exist_ok=True)
 
-    if mode == "baseline-plp":
-        pooled = _pool_by_accent(labels, train_feats, cfg, transform=None)
+    transform = None
+    if mode != "baseline-plp":
+        transform = _workspace_transform(run, train_feats)
+        save_transform(model_dir / "transform.lin", transform)
+    if mode == "vowel-hlda":
+        model_set = _train_vowel(run, train_feats, transform)
+    else:
+        pooled = _pool_by_accent(run.labels, train_feats, cfg, transform)
         model_set = train_baseline(pooled, cfg.n_components, cfg.em)
-        model_set.fingerprint = fingerprint
-        save_model_set(model_dir, model_set)
-        return model_dir
+    model_set.fingerprint = run.fingerprint
+    model_set.transform_ref = None if transform is None else "transform.lin"
+    save_model_set(model_dir, model_set)
+    return model_dir
 
-    transform = _workspace_transform(root, cfg, labels, train_ids, train_feats)
-    save_transform(model_dir / "transform.lin", transform)
 
-    if mode == "baseline-hlda":
-        pooled = _pool_by_accent(labels, train_feats, cfg, transform)
-        model_set = train_baseline(pooled, cfg.n_components, cfg.em)
-        model_set.fingerprint = fingerprint
-        model_set.transform_ref = "transform.lin"
-        save_model_set(model_dir, model_set)
-        return model_dir
-
-    # vowel mode: per-accent, per-vowel models on aligned vowel frames
-    label_index = {lab: i for i, lab in enumerate(labels)}
+def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelModelSet:
+    """Per-accent, per-vowel models on aligned vowel frames; subset, weights and τ from dev."""
+    cfg, labels = run.cfg, run.labels
     train_vowel_frames: dict[tuple[str, str], list[np.ndarray]] = {}
-    for utt, (_, feats) in zip(train_ids, train_feats):
-        entry = entries[utt]
-        segments = _vowel_segments_for(entry, manifest_path.parent, feat_dir, float("-inf"))
-        projected = _frontend(feats, cfg, transform)
+    for entry, (accent, feats) in zip(run.parts["train"], train_feats):
+        projected, segments = run.vowel_view(entry, feats, transform, float("-inf"))
         for v in VOWELS:
             rows = extract_vowel_frames(projected, segments, v)
             if rows.n_frames:
-                train_vowel_frames.setdefault((entry.accent, v), []).append(rows.values)
+                train_vowel_frames.setdefault((accent, v), []).append(rows.values)
 
     usable_vowels = [
         v for v in VOWELS
@@ -425,7 +428,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
 
     models = {}
     frame_counts: dict[str, int] = {v: 0 for v in usable_vowels}
-    for lab in labels:
+    for i, lab in enumerate(labels):
         for v in usable_vowels:
             X = np.vstack(train_vowel_frames[(lab, v)])
             frame_counts[v] += X.shape[0]
@@ -435,7 +438,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
                     "accent %s vowel %s: only %d frames; capping components at %d",
                     lab, v, X.shape[0], n,
                 )
-            opts = replace(cfg.em, seed=derive_seed(cfg.em.seed, label_index[lab], VOWELS.index(v)))
+            opts = replace(cfg.em, seed=derive_seed(cfg.em.seed, i, VOWELS.index(v)))
             models[(lab, v)], _ = em_fit(X, n, opts)
 
     all_vowel_set = VowelModelSet(
@@ -443,16 +446,12 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
         subset=usable_vowels,
         weights=vowel_weights(frame_counts, usable_vowels),
         models=models,
-        transform_ref="transform.lin",
     )
 
     dev_data = []
     dev_segment_lists = []
-    for utt in dev_ids:
-        entry = entries[utt]
-        feats = _load_features(feat_dir, utt)
-        segments = _vowel_segments_for(entry, manifest_path.parent, feat_dir, float("-inf"))
-        projected = _frontend(feats, cfg, transform)
+    for entry in run.parts["dev"]:
+        projected, segments = run.vowel_view(entry, run.features(entry), transform, float("-inf"))
         dev_data.append((entry.accent, _per_vowel_matrix(projected, segments, usable_vowels)))
         dev_segment_lists.append((entry.accent, projected, segments))
 
@@ -463,24 +462,17 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     tau = _tune_confidence_threshold(
         dev_segment_lists, all_vowel_set, subset, weights, cfg
     )
-
-    final = VowelModelSet(
-        labels=labels,
-        subset=subset,
-        weights=weights,
+    # the final set is the full one narrowed to the chosen subset
+    return replace(
+        all_vowel_set, subset=subset, weights=weights, confidence_tau=tau,
         models={(lab, v): models[(lab, v)] for lab in labels for v in subset},
-        fingerprint=fingerprint,
-        transform_ref="transform.lin",
-        confidence_tau=tau,
     )
-    save_model_set(model_dir, final)
-    return model_dir
 
 
 def _pool_by_accent(labels, train_feats, cfg, transform) -> dict[str, np.ndarray]:
     pooled: dict[str, list[np.ndarray]] = {lab: [] for lab in labels}
     for accent, feats in train_feats:
-        processed = _frontend(feats, cfg, transform) if transform is not None else feats
+        processed = _model_input(feats, cfg, transform)
         if processed.n_frames:
             pooled[accent].append(processed.values)
     empty = [lab for lab, blocks in pooled.items() if not blocks]
@@ -536,18 +528,10 @@ def _tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, cf
 
 def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> EvaluationReport:
     """Classify the test split and write the accuracy/confusion report."""
-    if mode not in MODES:
-        raise DataError(f"unknown evaluation mode {mode!r}; expected one of {MODES}")
-    manifest_path = Path(manifest_path)
-    manifest = parse_manifest(manifest_path)
-    root = Path(out_dir)
-    feat_dir = root / "features"
-    model_dir = root / f"models-{mode}"
-    fingerprint = config_fingerprint(cfg)
-    _check_fingerprint(feat_dir, fingerprint, "feature archive")
-
+    run = _open_run(manifest_path, cfg, out_dir, mode, "evaluation")
+    model_dir = run.root / f"models-{mode}"
     model_set = load_model_set(model_dir)
-    if model_set.fingerprint != fingerprint:
+    if model_set.fingerprint != run.fingerprint:
         raise ConsistencyError(
             f"model set at {model_dir} was trained under a different configuration"
         )
@@ -555,36 +539,29 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
     if model_set.transform_ref:
         transform = load_transform(model_dir / model_set.transform_ref)
 
-    split = split_dataset(manifest, seed=cfg.seed)
-    entries = {e.utterance_id: e for e in manifest.entries}
-    test_ids = [e.utterance_id for e in manifest.entries if split.tags.get(e.utterance_id) == "test"]
-
     labels = model_set.labels
     index = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     skipped = 0
-    for utt in test_ids:
-        entry = entries[utt]
+    for entry in run.parts["test"]:
         if entry.accent not in index:
             raise DataError(
-                f"{utt}: accent {entry.accent!r} is not covered by the model set {labels}"
+                f"{entry.utterance_id}: accent {entry.accent!r} is not covered by the model set {labels}"
             )
-        feats = _load_features(feat_dir, utt)
+        feats = run.features(entry)
         try:
             if isinstance(model_set, VowelModelSet):
-                segments = _vowel_segments_for(
-                    entry, manifest_path.parent, feat_dir, model_set.confidence_tau
+                projected, segments = run.vowel_view(
+                    entry, feats, transform, model_set.confidence_tau
                 )
-                projected = _frontend(feats, cfg, transform)
                 per_vowel = _per_vowel_matrix(projected, segments, model_set.subset)
                 result = classify_vowel(
                     model_set, per_vowel, cfg.frame_normalized_vowel_scores
                 )
             else:
-                processed = _frontend(feats, cfg, transform) if transform is not None else feats
-                result = classify_baseline(model_set, processed)
+                result = classify_baseline(model_set, _model_input(feats, cfg, transform))
         except (DataError, ValueError) as exc:
-            logger.warning("skipping %s: %s", utt, exc)
+            logger.warning("skipping %s: %s", entry.utterance_id, exc)
             skipped += 1
             continue
         confusion[index[entry.accent], index[result.predicted]] += 1
@@ -593,11 +570,11 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
         labels=labels,
         confusion=confusion,
         utterances=int(confusion.sum()),
-        fingerprint=fingerprint,
+        fingerprint=run.fingerprint,
         mode=mode,
         skipped=skipped,
     )
-    report_dir = root / "reports"
+    report_dir = run.root / "reports"
     report_dir.mkdir(parents=True, exist_ok=True)
     write_eval_report(report_dir / f"eval-{mode}.json", report)
     (report_dir / f"eval-{mode}.txt").write_text(format_eval_table(report), encoding="utf-8")

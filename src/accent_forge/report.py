@@ -70,16 +70,19 @@ def read_eval_report(path) -> EvaluationReport:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding
         raise DataError(f"{path}: cannot read evaluation report: {exc}")
-    if payload.get("kind") != "evaluation":
+    if not isinstance(payload, dict) or payload.get("kind") != "evaluation":
         raise DataError(f"{path}: not an evaluation report")
-    return EvaluationReport(
-        labels=list(payload["labels"]),
-        confusion=np.array(payload["confusion"], dtype=np.int64),
-        utterances=int(payload["utterances"]),
-        fingerprint=payload.get("fingerprint", ""),
-        mode=payload.get("mode", ""),
-        skipped=int(payload.get("skipped", 0)),
-    )
+    try:
+        return EvaluationReport(
+            labels=list(payload["labels"]),
+            confusion=np.array(payload["confusion"], dtype=np.int64),
+            utterances=int(payload["utterances"]),
+            fingerprint=payload.get("fingerprint", ""),
+            mode=payload.get("mode", ""),
+            skipped=int(payload.get("skipped", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed evaluation report ({type(exc).__name__}: {exc})") from None
 
 
 def format_eval_table(report: EvaluationReport) -> str:

@@ -595,6 +595,21 @@ class TestModelSetSerialization:
         with pytest.raises(DataError, match=f"modelset.txt, line {at + 1}: .*{tag}"):
             load_model_set(out)
 
+    @pytest.mark.parametrize("kind", ["baseline", "vowel"])
+    def test_second_model_for_a_key_is_data_error(self, tmp_path, kind):
+        out = tmp_path / "set"
+        if kind == "baseline":
+            save_model_set(out, AccentModelSet(["A"], {"A": single_gaussian(0.0)}))
+        else:
+            save_model_set(out, VowelModelSet(
+                ["A"], ["aa"], {"aa": 1.0}, {("A", "aa"): single_gaussian(0.0)},
+            ))
+        manifest = out / "modelset.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + lines[-1:]) + "\n")
+        with pytest.raises(DataError, match=f"line {len(lines) + 1}: a second model"):
+            load_model_set(out)
+
     @pytest.mark.parametrize("text", [
         "ACMSET1 vowel\nfingerprint -\ntau\n",
         "ACMSET1\nfingerprint -\n",

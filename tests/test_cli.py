@@ -2,6 +2,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ class TestConfig:
         assert config_fingerprint(base) != config_fingerprint(other)
         reseeded = default_config(seed=2)
         assert config_fingerprint(base) != config_fingerprint(reseeded)
+
+    def test_fingerprints_are_pinned(self, tmp_path):
+        # Every artifact stores its config's fingerprint, so a new value here
+        # orphans every existing workspace. The last file sets every key.
+        full = tmp_path / "full.ini"
+        full.write_text(FULL_CONFIG.replace("delta_window = 2", "delta_window = 2\nnum_bark_bands = 15")
+                        .replace("frame_normalized_vowel_scores = true", "frame_normalized_vowel_scores = off"))
+        pinned = {
+            "d74cbff28fe1c111e66dc79bd8d5daf605d577ba4c2db425d9831a491d10e413": default_config(),
+            "13ebb01fa45d05d37e1c255df3c5b6d4c3da7dc9c5aa0c651441fcf653261f26": default_config(7),
+            "c85f7c12479530b54ff7c5694097324fe770c89ed188f6ebb775d28512ed3e89":
+                load_config(Path(__file__).resolve().parents[1] / "example-config.ini"),
+            "ada842fbe16cf49da92c97bd4b6f48621a9d4592146035ef036bd2bee02b8057": load_config(full),
+        }
+        for expected, cfg in pinned.items():
+            assert config_fingerprint(cfg) == expected
 
 
 class TestEvaluationReport:
@@ -427,6 +444,23 @@ class TestFeaturizeVariants:
         ]) == 0
         assert (out / "features" / "good.feat").exists()
         assert not (out / "features" / "broken.feat").exists()
+
+    def test_partial_sample_frame_is_a_data_error(self, tiny_workspace, tmp_path, capsys):
+        root, cfg_path, _ = tiny_workspace
+        good_wav = root / "corpus" / "audio" / "A0000.wav"
+        cut_wav = tmp_path / "cut.wav"
+        cut_wav.write_bytes(good_wav.read_bytes()[:-1])  # 16-bit mono: ends inside a sample
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"good\t{good_wav}\tA\ncut\t{cut_wav}\tA\n")
+        args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(tmp_path / "w")]
+        capsys.readouterr()
+        assert main(["vad", *args]) == 2
+        err = capsys.readouterr().err
+        assert "accent-forge: data error:" in err and "cut.wav" in err
+        assert "Traceback" not in err
+        assert main(["featurize", *args]) == 0
+        assert (tmp_path / "w" / "features" / "good.feat").exists()
+        assert not (tmp_path / "w" / "features" / "cut.feat").exists()
 
     def test_all_unreadable_is_an_error(self, tiny_workspace, tmp_path):
         root, cfg_path, _ = tiny_workspace

@@ -1,23 +1,42 @@
 """Every artifact and input reader fails closed: a damaged file is a DataError
 that names it, never a stray ValueError or UnicodeDecodeError."""
 
+import hashlib
+import io
+import tempfile
 import warnings
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from accent_forge.accent import load_model_set
+from accent_forge.accent import AccentModelSet, VowelModelSet, load_model_set, save_model_set
+from accent_forge.audio import load_audio
 from accent_forge.config import load_config
 from accent_forge.corpus import parse_alignment, parse_manifest
 from accent_forge.discriminant import load_transform
-from accent_forge.errors import DataError
+from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import read_feature_archive
+from accent_forge.gmm import GmmModel
 from accent_forge.report import read_eval_report
 from accent_forge.vad import load_mask
 
 
 def f64(*values):
     return np.array(values, dtype="<f8").tobytes()
+
+
+def stereo_wav(frames: int = 50) -> bytes:
+    """A 16-bit, two-channel PCM waveform file."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(np.arange(2 * frames, dtype="<i2").tobytes())
+    return buf.getvalue()
 
 
 NOT_UTF8 = b"\xff\xfe\n"
@@ -31,6 +50,7 @@ READERS = {
     "config": (load_config, "c.ini"),
     "model_set": (lambda path: load_model_set(path.parent), "modelset.txt"),
     "eval_report": (read_eval_report, "eval.json"),
+    "audio": (load_audio, "a.wav"),
 }
 
 DAMAGED = {
@@ -61,6 +81,20 @@ DAMAGED = {
     "config-not_utf8": NOT_UTF8,
     "model_set-not_utf8": NOT_UTF8,
     "eval_report-not_utf8": NOT_UTF8,
+    "eval_report-a_list": b"[1, 2]\n",
+    "eval_report-no_labels": b'{"kind": "evaluation"}\n',
+    "eval_report-labels_not_a_list": b'{"kind": "evaluation", "labels": 3, "confusion": [],'
+                                     b' "utterances": 0}\n',
+    "eval_report-non_square_confusion": b'{"kind": "evaluation", "labels": ["A", "B"],'
+                                        b' "confusion": [[1, 0]], "utterances": 1}\n',
+    "model_set-tau_in_baseline": b"ACMSET1 baseline\nfingerprint -\ntau 0.5\n",
+    "model_set-subset_in_baseline": b"ACMSET1 baseline\nfingerprint -\nsubset aa\n",
+    "model_set-weight_in_baseline": b"ACMSET1 baseline\nfingerprint -\nweight aa 1.0\n",
+    # a 16-bit stereo sample frame is 4 bytes; these end inside the last one
+    "audio-last_3_bytes_cut": stereo_wav()[:-3],
+    "audio-last_2_bytes_cut": stereo_wav()[:-2],
+    "audio-zero_sample_rate": stereo_wav()[:24] + bytes(4) + stereo_wav()[28:],
+    "audio-chunk_past_its_end": stereo_wav()[:12] + b"\x00" + stereo_wav()[12:],
 }
 
 
@@ -82,6 +116,8 @@ WELL_FORMED = {
     "alignment": b"0.5 0.75 AA1 0.9\n",
     "manifest": b"u\tu.wav\tA\n",
     "config": b"[run]\nseed = 3\n",
+    "eval_report": b'{"kind": "evaluation", "labels": ["A"], "confusion": [[1]], "utterances": 1}\n',
+    "audio": stereo_wav(),
 }
 
 
@@ -92,3 +128,95 @@ def test_well_formed_file_reads(tmp_path, kind):
     path = tmp_path / name
     path.write_bytes(WELL_FORMED[kind])
     assert reader(path) is not None
+
+
+def test_whole_sample_frames_load_unchanged(tmp_path):
+    path = tmp_path / "a.wav"
+    path.write_bytes(stereo_wav(frames=50))
+    audio = load_audio(path)
+    # each mono sample is the mean of the pair (2k, 2k + 1), scaled by 1/32768
+    assert np.array_equal(audio.samples, (4 * np.arange(50) + 1) / 2 / 32768)
+
+
+# One mutation of a file's bytes: cut it at a point, xor one byte with a
+# non-zero mask, or insert a few bytes. Positions wrap around the length.
+MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=8)),
+)
+
+
+def mutate(blob: bytes, mutations) -> bytes:
+    for op, at, *arg in mutations:
+        if op == "truncate":
+            blob = blob[: at % (len(blob) + 1)]
+        elif op == "flip" and blob:
+            at %= len(blob)
+            blob = blob[:at] + bytes([blob[at] ^ arg[0]]) + blob[at + 1:]
+        elif op == "insert":
+            at %= len(blob) + 1
+            blob = blob[:at] + arg[0] + blob[at:]
+    return blob
+
+
+def save_sets(root: Path) -> dict[str, Path]:
+    """A baseline and a vowel model set, the vowel one with a transform."""
+    def gmm(shift: float) -> GmmModel:
+        return GmmModel(np.array([0.25, 0.75]), np.full((2, 1), shift), np.ones((2, 1)))
+
+    baseline = root / "baseline"
+    save_model_set(baseline, AccentModelSet(["A", "B"], {"A": gmm(0.0), "B": gmm(1.0)}))
+    vowel = root / "vowel"
+    vowel.mkdir()
+    (vowel / "transform.lin").write_bytes(WELL_FORMED["transform"])
+    save_model_set(vowel, VowelModelSet(
+        ["A", "B"], ["aa", "iy"], {"aa": 0.5, "iy": 0.5},
+        {(lab, v): gmm(i) for i, lab in enumerate("AB") for v in ("aa", "iy")},
+        fingerprint="f" * 64, transform_ref="transform.lin", confidence_tau=-1.5,
+    ))
+    return {"baseline_set": baseline, "vowel_set": vowel}
+
+
+FUZZ_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+
+@pytest.mark.parametrize("kind", WELL_FORMED)
+@FUZZ_SETTINGS
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_file_fails_closed(kind, mutations):
+    reader, name = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(mutate(WELL_FORMED[kind], mutations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                reader(path)
+            except DataError:
+                pass
+
+
+@pytest.mark.parametrize("kind", ["baseline_set", "vowel_set"])
+@FUZZ_SETTINGS
+@given(target=st.integers(0, 63), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_model_set_fails_closed(kind, target, mutations):
+    # Mutate the manifest or one file it lists. A listed file gets its new
+    # SHA-256 recorded, so that its own reader sees the damage.
+    with tempfile.TemporaryDirectory() as tmp:
+        set_dir = save_sets(Path(tmp))[kind]
+        manifest = set_dir / "modelset.txt"
+        files = [manifest, *sorted(p for p in set_dir.rglob("*") if p.is_file() and p != manifest)]
+        path = files[target % len(files)]
+        before = path.read_bytes()
+        path.write_bytes(mutate(before, mutations))
+        if path != manifest:
+            manifest.write_text(manifest.read_text().replace(
+                hashlib.sha256(before).hexdigest(), hashlib.sha256(path.read_bytes()).hexdigest()
+            ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                load_model_set(set_dir)
+            except (DataError, ConsistencyError):
+                pass
