@@ -6,8 +6,8 @@ LDA/HLDA dimension reduction, and a vowel-combined classifier driven by
 externally produced phone alignments.
 """
 
-from .audio import AudioBuffer, FrameSequence, Spectrum, frame_signal, load_audio, magnitude_spectrum, save_audio
-from .vad import SpeechMask, VadConfig, estimate_threshold, median_smooth, remove_silence, short_time_energy, spectral_centroid
+from .audio import AudioBuffer, FrameSequence, frame_signal, load_audio, save_audio
+from .vad import SpeechMask, VadConfig, estimate_threshold, median_smooth, remove_silence
 from .features import (
     FeatureMatrix,
     PlpConfig,

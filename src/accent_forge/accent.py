@@ -195,66 +195,55 @@ def classify_vowel(
     return ClassificationResult(predicted, scores, sum(frames.values()), frames)
 
 
+def _dev_accuracy(dev_scores, labels, weights, subset, frame_normalized) -> int:
+    """Dev utterances classify_vowel labels correctly from their scored vowels.
+
+    dev_scores holds (true label, {vowel: (frames, per-accent totals)}) per
+    utterance. The vowels fuse in subset order; an utterance with no frames
+    for the subset counts as a miss.
+    """
+    correct = 0
+    for true_label, scores in dev_scores:
+        present = [(v, *scores[v]) for v in subset if v in scores]
+        if present and _fuse_vowel_scores(labels, weights, present, frame_normalized)[0] == true_label:
+            correct += 1
+    return correct
+
+
 def select_vowel_subset(
-    dev: list[tuple[str, dict[str, np.ndarray]]],
+    dev_scores: list[tuple[str, dict[str, tuple[int, dict[str, float]]]]],
     models: VowelModelSet,
     subset_size: int,
     frame_normalized: bool = True,
 ) -> list[str]:
     """Greedy forward selection of the vowels that maximize dev accuracy.
 
+    dev_scores is the table pipeline._dev_scores builds against models.
     Candidates are tried in inventory order, which also breaks accuracy
     ties. Dev utterances with no vowel frames at all are skipped (with a
     logged count); an utterance with no frames for a candidate subset counts
-    as misclassified for that subset. Each dev vowel is scored against every
-    accent once; the trials only fuse those totals, exactly as
-    classify_vowel would.
+    as misclassified for that subset.
     """
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
     candidates = [v for v in models.inventory if v in models.subset]
     subset_size = min(subset_size, len(candidates))
-
-    scored = []
-    skipped = 0
-    for true_label, per_vowel in dev:
-        if any(as_values(X).shape[0] > 0 for X in per_vowel.values()):
-            totals = {v: _score_vowel(models, v, per_vowel[v]) for v in candidates if v in per_vowel}
-            scored.append((true_label, {v: t for v, t in totals.items() if t is not None}))
-        else:
-            skipped += 1
+    skipped = sum(1 for _, scores in dev_scores if not scores)
     if skipped:
         logger.warning("skipped %d dev utterances without any vowel frames", skipped)
-    if not scored:
+    if skipped == len(dev_scores):
         raise DataError("no usable dev utterances for vowel selection")
 
-    def accuracy(subset: list[str]) -> float:
-        raw = {v: models.weights.get(v, 0.0) for v in subset}
-        total = sum(raw.values())
-        if total > 0:
-            trial_weights = {v: w / total for v, w in raw.items()}
-        else:
-            trial_weights = {v: 1.0 / len(subset) for v in subset}
-        correct = 0
-        for true_label, totals in scored:
-            present = [(v, *totals[v]) for v in subset if v in totals]
-            if not present:
-                continue  # counts as a miss
-            predicted, _ = _fuse_vowel_scores(models.labels, trial_weights, present, frame_normalized)
-            if predicted == true_label:
-                correct += 1
-        return correct / len(scored)
+    def correct(subset: list[str]) -> int:
+        raw = [models.weights.get(v, 0.0) for v in subset]
+        total = sum(raw)
+        weights = {v: w / total if total > 0 else 1.0 / len(subset) for v, w in zip(subset, raw)}
+        return _dev_accuracy(dev_scores, models.labels, weights, subset, frame_normalized)
 
     chosen: list[str] = []
-    while len(chosen) < subset_size:
-        best_v, best_acc = None, -1.0
-        for v in candidates:
-            if v in chosen:
-                continue
-            acc = accuracy(chosen + [v])
-            if acc > best_acc:
-                best_v, best_acc = v, acc
-        chosen.append(best_v)
+    for _ in range(subset_size):  # max keeps the first of equals: inventory order
+        rest = [v for v in candidates if v not in chosen]
+        chosen.append(max(rest, key=lambda v: correct(chosen + [v])))
     return chosen
 
 

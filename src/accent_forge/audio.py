@@ -1,4 +1,4 @@
-"""Audio ingestion, framing, and spectral primitives.
+"""Audio ingestion and framing.
 
 All functions here are pure; parallel callers need no coordination.
 """
@@ -56,21 +56,6 @@ class FrameSequence:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-@dataclass
-class Spectrum:
-    """One-sided magnitude spectrum. magnitudes[0] is the DC bin."""
-
-    magnitudes: np.ndarray
-    bin_hz: float = 0.0
-
-    def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.magnitudes.size and (
-            not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0)
-        ):
-            raise ValueError("magnitudes must be finite and non-negative")
 
 
 def load_audio(path) -> AudioBuffer:
@@ -149,13 +134,3 @@ def frame_signal(audio: AudioBuffer, frame_len_ms: float, hop_ms: float) -> Fram
         frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
     frames.flags.writeable = False
     return FrameSequence(frames, frame_len, hop, sr)
-
-
-def magnitude_spectrum(frame: np.ndarray, sample_rate: int | None = None) -> Spectrum:
-    """One-sided DFT magnitude of a sample window (K = floor(N/2) + 1 bins)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 1:
-        raise ValueError("frame must contain at least one sample")
-    mags = np.abs(np.fft.rfft(frame))
-    bin_hz = sample_rate / frame.size if sample_rate else 0.0
-    return Spectrum(mags, bin_hz)

@@ -46,9 +46,6 @@ class SplitAssignment:
     seed: int
     warnings: list[str] = field(default_factory=list)
 
-    def ids(self, tag: str) -> list[str]:
-        return [utt for utt, t in self.tags.items() if t == tag]
-
 
 @dataclass
 class AlignmentSegment:
@@ -236,7 +233,6 @@ class TimeRemap:
         self._starts = kept * hop_s  # original start of each kept slice
         self._new_starts = np.arange(kept.size) * hop_s
         self._hop_s = hop_s
-        self.total_kept_s = kept.size * hop_s
 
     def time(self, t: float) -> float:
         """Kept duration strictly before original time t."""

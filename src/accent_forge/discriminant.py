@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError
 from .features import FeatureMatrix
@@ -134,6 +133,8 @@ def lda_fit(data: LabeledFeatures, m: int) -> LinearTransform:
     Rows are ordered by descending eigenvalue, normalized so w' S_W w = 1,
     and sign-fixed so the first non-negligible entry is positive.
     """
+    import scipy.linalg  # not at the top: it takes half a second to import
+
     if not 1 <= m <= data.dims:
         raise ValueError(f"target dims {m} out of range 1..{data.dims}")
     s_b, s_w = scatter_matrices(data)

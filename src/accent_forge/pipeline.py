@@ -22,7 +22,7 @@ import numpy as np
 
 from .accent import (
     VowelModelSet,
-    _fuse_vowel_scores,
+    _dev_accuracy,
     _score_vowel,
     classify_baseline,
     classify_vowel,
@@ -379,10 +379,6 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
     return transform
 
 
-def _per_vowel_matrix(projected: FeatureMatrix, segments, vowels) -> dict[str, FeatureMatrix]:
-    return {v: extract_vowel_frames(projected, segments, v) for v in vowels}
-
-
 def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     """Train one of the three model configurations and serialize it."""
     run = _open_run(manifest_path, cfg, out_dir, mode, "training")
@@ -448,20 +444,17 @@ def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelMod
         models=models,
     )
 
-    dev_data = []
-    dev_segment_lists = []
-    for entry in run.parts["dev"]:
-        projected, segments = run.vowel_view(entry, run.features(entry), transform, float("-inf"))
-        dev_data.append((entry.accent, _per_vowel_matrix(projected, segments, usable_vowels)))
-        dev_segment_lists.append((entry.accent, projected, segments))
-
+    dev = [
+        (e.accent, *run.vowel_view(e, run.features(e), transform, float("-inf")))
+        for e in run.parts["dev"]
+    ]
+    memo: dict = {}  # shared by selection and every τ grid point
     subset = select_vowel_subset(
-        dev_data, all_vowel_set, cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores
+        _dev_scores(dev, all_vowel_set, usable_vowels, float("-inf"), memo),
+        all_vowel_set, cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores,
     )
     weights = vowel_weights(frame_counts, subset)
-    tau = _tune_confidence_threshold(
-        dev_segment_lists, all_vowel_set, subset, weights, cfg
-    )
+    tau = _tune_confidence_threshold(dev, all_vowel_set, subset, weights, cfg, memo)
     # the final set is the full one narrowed to the chosen subset
     return replace(
         all_vowel_set, subset=subset, weights=weights, confidence_tau=tau,
@@ -481,16 +474,38 @@ def _pool_by_accent(labels, train_feats, cfg, transform) -> dict[str, np.ndarray
     return {lab: np.vstack(blocks) for lab, blocks in pooled.items()}
 
 
-def _tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, cfg) -> float:
+def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
+    """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
+
+    dev holds (accent, projected features, segments) per utterance. Only the
+    segments whose confidence clears tau count, and a vowel without kept
+    frames is left out. A vowel's rows depend only on the intervals of its
+    kept segments, so memo, keyed by (utterance index, vowel, kept
+    intervals), scores each such set once across every call that shares it.
+    """
+    table = []
+    for ui, (accent, projected, segments) in enumerate(dev):
+        kept, _ = filter_by_confidence(segments, tau)
+        scores = {}
+        for v in vowels:
+            key = (ui, v, tuple((s.start, s.end) for s in kept if s.phone == v))
+            if key not in memo:
+                memo[key] = _score_vowel(model_set, v, extract_vowel_frames(projected, kept, v))
+            if memo[key] is not None:
+                scores[v] = memo[key]
+        table.append((accent, scores))
+    return table
+
+
+def _tune_confidence_threshold(dev, model_set, subset, weights, cfg, memo: dict) -> float:
     """Grid search over dev-confidence percentiles for the best filter threshold.
 
-    A vowel's rows depend only on the intervals of its kept segments, so its
-    per-accent totals are scored once per distinct set of kept intervals and
-    reused by every grid point that keeps the same set.
+    Every grid point scores the dev set through _dev_scores with the shared
+    memo; max keeps the first of equals, so ties go to the lower threshold.
     """
     confidences = [
         s.confidence
-        for _, _, segments in dev_segment_lists
+        for _, _, segments in dev
         for s in segments
         if s.phone in subset and s.confidence is not None
     ]
@@ -499,31 +514,10 @@ def _tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, cf
     grid = [float("-inf")] + sorted(
         {float(np.percentile(confidences, p)) for p in range(0, 100, 10)}
     )
-
-    memo: dict[tuple, tuple[int, dict[str, float]] | None] = {}
-    best_tau, best_acc = float("-inf"), -1.0
-    for tau in grid:
-        correct = 0
-        for ui, (accent, projected, segments) in enumerate(dev_segment_lists):
-            kept, _ = filter_by_confidence(segments, tau)
-            present = []
-            for v in subset:
-                key = (ui, v, tuple((s.start, s.end) for s in kept if s.phone == v))
-                if key not in memo:
-                    memo[key] = _score_vowel(model_set, v, extract_vowel_frames(projected, kept, v))
-                if memo[key] is not None:
-                    present.append((v, *memo[key]))
-            if not present:
-                continue  # counts as a miss
-            predicted, _ = _fuse_vowel_scores(
-                model_set.labels, weights, present, cfg.frame_normalized_vowel_scores
-            )
-            if predicted == accent:
-                correct += 1
-        acc = correct / len(dev_segment_lists)
-        if acc > best_acc:
-            best_tau, best_acc = tau, acc
-    return best_tau
+    labels, normalized = model_set.labels, cfg.frame_normalized_vowel_scores
+    return max(grid, key=lambda tau: _dev_accuracy(
+        _dev_scores(dev, model_set, subset, tau, memo), labels, weights, subset, normalized
+    ))
 
 
 def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> EvaluationReport:
@@ -554,7 +548,7 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
                 projected, segments = run.vowel_view(
                     entry, feats, transform, model_set.confidence_tau
                 )
-                per_vowel = _per_vowel_matrix(projected, segments, model_set.subset)
+                per_vowel = {v: extract_vowel_frames(projected, segments, v) for v in model_set.subset}
                 result = classify_vowel(
                     model_set, per_vowel, cfg.frame_normalized_vowel_scores
                 )

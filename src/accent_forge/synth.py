@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .audio import AudioBuffer, save_audio
 from .config import SynthSpec
@@ -60,6 +59,8 @@ def accent_formant_factors(accent_idx: int, vowel_idx: int, shift: float) -> tup
 
 
 def _resonator(x: np.ndarray, freq: float, bandwidth: float, sr: int) -> np.ndarray:
+    import scipy.signal  # not at the top: it takes a second to import, and only synthcorpus uses it
+
     r = np.exp(-np.pi * bandwidth / sr)
     theta = 2.0 * np.pi * freq / sr
     a = [1.0, -2.0 * r * np.cos(theta), r * r]
@@ -70,6 +71,8 @@ def _vowel_segment(
     rng: np.random.Generator, vowel: str, factors: tuple[float, float],
     duration_s: float, f0: float, sr: int,
 ) -> np.ndarray:
+    import scipy.signal
+
     n = int(round(duration_s * sr))
     period = max(2, int(round(sr / f0)))
     source = np.zeros(n)

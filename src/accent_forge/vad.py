@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, Spectrum, frame_signal
+from .audio import AudioBuffer, frame_signal
 from .errors import DataError
 
 
@@ -56,25 +56,13 @@ class SpeechMask:
         return self.hop / self.sample_rate
 
 
-def short_time_energy(frame: np.ndarray) -> float:
-    """Mean squared amplitude of one frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size < 1:
-        raise ValueError("frame must contain at least one sample")
-    return float(np.mean(frame * frame))
-
-
-def spectral_centroid(spec: Spectrum) -> float:
-    """Magnitude-weighted mean bin position, in 1-based bin units.
-
-    Bin k (k = 1..K, with k=1 the DC bin) is weighted by k + 1, so a single
-    active bin k0 yields k0 + 1. An all-zero spectrum returns 0 by convention.
-    """
-    return float(_centroids(spec.magnitudes[None, :])[0])
-
-
 def _centroids(mags: np.ndarray) -> np.ndarray:
-    """spectral_centroid of every row of an (n_frames, K) magnitude matrix."""
+    """Spectral centroid of every row of an (n_frames, K) magnitude matrix.
+
+    The magnitude-weighted mean bin position in 1-based bin units: bin k
+    (k = 1..K, with k=1 the DC bin) is weighted by k + 1, so a single active
+    bin k0 yields k0 + 1. An all-zero row gives 0 by convention.
+    """
     totals = np.sum(mags, axis=1)
     weighted = np.sum(np.arange(2, mags.shape[1] + 2, dtype=np.float64) * mags, axis=1)
     out = np.zeros(mags.shape[0])
@@ -220,6 +208,10 @@ def load_mask(path) -> tuple[str, SpeechMask]:
         raise DataError(f"{path}: not an ACMASK1 file") from None
     if magic != "ACMASK1":
         raise DataError(f"{path}: not an ACMASK1 file")
+    if min(frame_len, hop, sr) <= 0:
+        raise DataError(f"{path}: frame length, hop and sample rate must be positive")
     if len(bits) != n:
         raise DataError(f"{path}: mask length {len(bits)} does not match header count {n}")
+    if set(bits) - {"0", "1"}:
+        raise DataError(f"{path}: mask bits must be 0 or 1")
     return utt, SpeechMask(keep, frame_len, hop, sr)

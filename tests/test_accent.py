@@ -21,7 +21,7 @@ from accent_forge.corpus import VOWELS, AlignmentSegment, extract_vowel_frames, 
 from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import FeatureMatrix
 from accent_forge.gmm import EmOptions, GmmModel, em_fit, mixture_log_likelihood
-from accent_forge.pipeline import _tune_confidence_threshold
+from accent_forge.pipeline import _dev_scores, _tune_confidence_threshold
 
 
 def single_gaussian(mean, var=1.0, dims=2):
@@ -244,6 +244,28 @@ class TestClassifyVowel:
             assert literal.scores[lab] == pytest.approx(10 * normalized.scores[lab], rel=1e-12)
 
 
+def segment_dev(dev):
+    """(accent, projected, segments) per utterance, as vowel training holds its dev
+    split: the vowel rows laid end to end at a 10 ms hop, one unscored segment per
+    vowel with rows."""
+    out = []
+    for true, per_vowel in dev:
+        blocks, segments, t = [], [], 0
+        for v, X in per_vowel.items():
+            n = np.asarray(X).shape[0]
+            blocks.append(X)
+            if n:
+                segments.append(AlignmentSegment(t / 100, (t + n) / 100, v))
+            t += n
+        out.append((true, FeatureMatrix(np.vstack(blocks), "u", start_ms=5.0, hop_ms=10.0), segments))
+    return out
+
+
+def dev_table(dev, models):
+    """select_vowel_subset's input, built the way vowel training builds it."""
+    return _dev_scores(segment_dev(dev), models, models.subset, float("-inf"), {})
+
+
 class TestSelectVowelSubset:
     def make_dev(self, rng, vowels, discriminative="aa"):
         dev = []
@@ -266,7 +288,7 @@ class TestSelectVowelSubset:
         vowels = ["aa", "iy", "uw"]
         vset = vowel_set_for(["A", "B"], vowels, self.model_fn)
         dev = self.make_dev(rng, vowels)
-        chosen = select_vowel_subset(dev, vset, 1)
+        chosen = select_vowel_subset(dev_table(dev, vset), vset, 1)
         assert chosen == ["aa"]
 
     def test_full_size_includes_everything(self):
@@ -274,7 +296,7 @@ class TestSelectVowelSubset:
         vowels = ["aa", "iy", "uw"]
         vset = vowel_set_for(["A", "B"], vowels, self.model_fn)
         dev = self.make_dev(rng, vowels)
-        chosen = select_vowel_subset(dev, vset, 15)
+        chosen = select_vowel_subset(dev_table(dev, vset), vset, 15)
         assert sorted(chosen) == sorted(vowels)
 
     def test_tie_break_prefers_inventory_order(self):
@@ -286,8 +308,14 @@ class TestSelectVowelSubset:
             ("A", {v: rng.standard_normal((3, 2)) for v in vowels}),
             ("B", {v: rng.standard_normal((3, 2)) for v in vowels}),
         ]
-        chosen = select_vowel_subset(dev, vset, 2)
+        chosen = select_vowel_subset(dev_table(dev, vset), vset, 2)
         assert chosen == ["aa", "eh"]
+
+    def test_dev_without_vowel_frames_is_a_data_error(self):
+        vset = vowel_set_for(["A", "B"], ["aa", "iy"], self.model_fn)
+        dev = [("A", {"aa": np.zeros((0, 2))}), ("B", {"iy": np.zeros((0, 2))})]
+        with pytest.raises(DataError, match="no usable dev utterances"):
+            select_vowel_subset(dev_table(dev, vset), vset, 1)
 
 
 def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
@@ -402,7 +430,7 @@ class TestCachedVowelScoring:
         vset, centers = random_vowel_set(rng, labels, vowels)
         dev = random_dev(rng, labels, vowels, centers, 14)
         for size in (1, 3, 5):
-            assert select_vowel_subset(dev, vset, size, frame_normalized) == (
+            assert select_vowel_subset(dev_table(dev, vset), vset, size, frame_normalized) == (
                 naive_select_vowel_subset(dev, vset, size, frame_normalized)
             )
 
@@ -417,7 +445,7 @@ class TestCachedVowelScoring:
         centers = {(lab, v): np.zeros(2) for lab in "ABC" for v in vowels}
         dev = random_dev(rng, ["A", "B", "C"], vowels, centers, 10)
         for size in (1, 2, 4):
-            assert select_vowel_subset(dev, vset, size, frame_normalized) == (
+            assert select_vowel_subset(dev_table(dev, vset), vset, size, frame_normalized) == (
                 naive_select_vowel_subset(dev, vset, size, frame_normalized)
             )
 
@@ -453,11 +481,16 @@ class TestCachedVowelScoring:
             return real(model, X)
 
         monkeypatch.setattr(accent, "mixture_log_likelihood", counting)
-        select_vowel_subset(dev, vset, len(vowels))
         present = sum(
             1 for _, per_vowel in dev for v, X in per_vowel.items()
             if v in vowels and np.asarray(X).shape[0] > 0
         )
+        dev, memo = segment_dev(dev), {}
+        table = _dev_scores(dev, vset, vset.subset, float("-inf"), memo)
+        assert sum(calls.values()) == present * len(labels)
+        # selection only fuses the table, and a rebuild from the same memo scores nothing
+        select_vowel_subset(table, vset, len(vowels))
+        assert _dev_scores(dev, vset, vset.subset, float("-inf"), memo) == table
         assert max(calls.values()) == 1
         assert sum(calls.values()) == present * len(labels)
 
@@ -466,7 +499,9 @@ class TestCachedVowelScoring:
     def test_tau_tuning_matches_naive_reference(self, seed, frame_normalized):
         dev_segment_lists, vset, subset, weights = tau_case(seed)
         cfg = replace(default_config(), frame_normalized_vowel_scores=frame_normalized)
-        tau = _tune_confidence_threshold(dev_segment_lists, vset, subset, weights, cfg)
+        memo = {}  # filled by the selection table first, as in vowel training
+        _dev_scores(dev_segment_lists, vset, vset.subset, float("-inf"), memo)
+        tau = _tune_confidence_threshold(dev_segment_lists, vset, subset, weights, cfg, memo)
         assert tau == naive_tune_confidence_threshold(
             dev_segment_lists, vset, subset, weights, frame_normalized
         )
@@ -474,7 +509,7 @@ class TestCachedVowelScoring:
     def test_tau_cases_reach_several_grid_points(self):
         # the equivalence cases only tell something if they pick different τ
         cfg = default_config()
-        picked = {_tune_confidence_threshold(*tau_case(seed), cfg) for seed in range(10)}
+        picked = {_tune_confidence_threshold(*tau_case(seed), cfg, {}) for seed in range(10)}
         assert len(picked) >= 3
         assert float("-inf") in picked
 

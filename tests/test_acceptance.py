@@ -23,7 +23,7 @@ from accent_forge.accent import (
     classify_baseline,
     classify_vowel,
 )
-from accent_forge.audio import AudioBuffer, Spectrum
+from accent_forge.audio import AudioBuffer
 from accent_forge.config import PipelineConfig, SynthSpec
 from accent_forge.discriminant import LabeledFeatures, hlda_fit, lda_fit, project, scatter_matrices
 from accent_forge.features import read_feature_archive
@@ -36,8 +36,9 @@ from accent_forge.gmm import (
     save_gmm,
 )
 from accent_forge.report import read_eval_report
-from accent_forge.vad import VadConfig, remove_silence, short_time_energy, spectral_centroid
+from accent_forge.vad import VadConfig, _centroids, remove_silence
 from gmm_reference import component_posteriors, gaussian_log_density
+from signal_reference import Spectrum, short_time_energy, spectral_centroid
 
 
 def criterion(number, name):
@@ -249,6 +250,7 @@ def test_vad_rate_and_unit_examples():
     mags = np.zeros(80)
     mags[11] = 4.0  # 1-based bin 12
     assert spectral_centroid(Spectrum(mags)) == 13.0
+    assert _centroids(mags[None, :])[0] == 13.0
     assert time.time() < deadline
 
 

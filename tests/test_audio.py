@@ -7,10 +7,10 @@ from accent_forge.audio import (
     AudioBuffer,
     frame_signal,
     load_audio,
-    magnitude_spectrum,
     save_audio,
 )
 from accent_forge.errors import DataError
+from signal_reference import magnitude_spectrum
 
 
 def write_wav(path, data_int, sampwidth=2, channels=1, sr=8000):

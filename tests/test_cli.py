@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accent_forge.audio import AudioBuffer, save_audio
 from accent_forge.cli import main
@@ -15,7 +20,14 @@ from accent_forge.config import (
     default_config,
     load_config,
 )
-from accent_forge.corpus import VOWELS, parse_alignment, parse_manifest, split_dataset
+from accent_forge.corpus import (
+    VOWELS,
+    extract_vowel_frames,
+    filter_by_confidence,
+    parse_alignment,
+    parse_manifest,
+    split_dataset,
+)
 from accent_forge.discriminant import LabeledFeatures, hlda_converged, hlda_fit, save_transform
 from accent_forge.errors import DataError, UsageError
 from accent_forge.features import context_expand, read_feature_archive, write_feature_archive
@@ -26,7 +38,8 @@ from accent_forge.report import (
     write_eval_report,
 )
 from accent_forge.synth import generate_corpus, synthesize_utterance
-from accent_forge import pipeline
+from accent_forge import accent, pipeline
+from test_readers import MUTATION, mutate
 
 FULL_CONFIG = """\
 [vad]
@@ -634,6 +647,95 @@ class TestSharedTransform:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def cached_transform(shared_ws, tmp_path_factory):
+    """A workspace whose transform cache is whole, and the bytes of a fresh fit."""
+    manifest, cfg, features = shared_ws
+    root = tmp_path_factory.mktemp("cached")
+    ws = root / "ws"
+    shutil.copytree(features, ws / "features")
+    transform, _ = fresh_fit(manifest, cfg, ws)
+    save_transform(root / "fresh.lin", transform)
+    run = pipeline._open_run(manifest, cfg, ws, "baseline-hlda", "training")
+    pipeline._workspace_transform(run, [(e.accent, run.features(e)) for e in run.parts["train"]])
+    return manifest, cfg, ws, (root / "fresh.lin").read_bytes()
+
+
+# A byte mutation of either cache file, or one fit.json field set to a new value
+CACHE_DAMAGE = st.one_of(
+    st.tuples(st.sampled_from(["fit.json", "transform.lin"]), st.lists(MUTATION, min_size=1, max_size=3)),
+    st.tuples(st.just("field"), st.sampled_from(
+        ["converged", "format", "key", "kind", "objective", "sweeps", "transform_sha256"]
+    ), st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))),
+)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(damage=CACHE_DAMAGE)
+def test_mutated_transform_cache_reuses_or_refits(cached_transform, damage):
+    # whatever the damage, training goes on with a fresh fit's transform and
+    # leaves a whole cache behind: a reuse leaves transform.lin as it was, a
+    # refit rewrites both files
+    manifest, cfg, trained, fresh = cached_transform
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        shutil.copytree(trained, ws)
+        if damage[0] == "field":
+            record = json.loads((ws / "transform" / "fit.json").read_text(encoding="utf-8"))
+            record[damage[1]] = damage[2]
+            (ws / "transform" / "fit.json").write_text(json.dumps(record), encoding="utf-8")
+        else:
+            path = ws / "transform" / damage[0]
+            path.write_bytes(mutate(path.read_bytes(), damage[1]))
+        run = pipeline._open_run(manifest, cfg, ws, "baseline-hlda", "training")
+        train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
+        save_transform(Path(tmp) / "used.lin", pipeline._workspace_transform(run, train_feats))
+        assert (Path(tmp) / "used.lin").read_bytes() == fresh
+        lin = (ws / "transform" / "transform.lin").read_bytes()
+        assert lin == fresh
+        record = json.loads((ws / "transform" / "fit.json").read_text(encoding="utf-8"))
+        assert record["transform_sha256"] == hashlib.sha256(lin).hexdigest()
+
+
+def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatch):
+    """Over all of vowel-hlda training, the vowel models score each distinct
+    (dev utterance, vowel, kept intervals) once per accent: subset selection
+    and every τ grid point read one shared table."""
+    manifest, cfg, features = shared_ws
+    ws = fresh_workspace(features, tmp_path)
+    tables = []
+    real_table, real_score = pipeline._dev_scores, accent.mixture_log_likelihood
+
+    def recording(dev, model_set, vowels, tau, memo):
+        tables.append((dev, vowels, tau))
+        return real_table(dev, model_set, vowels, tau, memo)
+
+    calls = []
+    monkeypatch.setattr(pipeline, "_dev_scores", recording)
+    monkeypatch.setattr(accent, "mixture_log_likelihood", lambda m, X: calls.append(1) or real_score(m, X))
+    pipeline.cmd_train(manifest, cfg, ws, "vowel-hlda")
+
+    keys = set()
+    for dev, vowels, tau in tables:
+        for ui, (_, projected, segments) in enumerate(dev):
+            kept, _ = filter_by_confidence(segments, tau)
+            for v in vowels:
+                if extract_vowel_frames(projected, kept, v).n_frames:
+                    keys.add((ui, v, tuple((s.start, s.end) for s in kept if s.phone == v)))
+    assert len(tables) > 2  # the selection table and at least two τ grid points
+    assert tables[0][2] == float("-inf") and tables[1][2] == float("-inf")
+    assert len(calls) == len(keys) * len(parse_manifest(manifest).inventory)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes over a second to import; only synthcorpus and LDA fits load it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, accent_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_workers_env_override(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("ACCENT_FORGE_WORKERS", "2")
     assert pipeline.worker_count() == 2
@@ -669,7 +771,7 @@ def hlda_trained(shared_ws, tmp_path_factory):
 
 @pytest.mark.parametrize(
     "damaged",
-    ["config", "manifest", "fingerprint", "features", "mask", "alignment", "transform"],
+    ["config", "manifest", "fingerprint", "features", "mask", "mask_rate", "alignment", "transform"],
 )
 def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys, damaged):
     manifest, cfg, cfg_path, trained = hlda_trained
@@ -688,9 +790,14 @@ def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys,
         "fingerprint": ws / "features" / "fingerprint.txt",
         "features": ws / "features" / f"{train[0].utterance_id}.feat",
         "mask": ws / "features" / f"{train[0].utterance_id}.mask",
+        "mask_rate": ws / "features" / f"{train[0].utterance_id}.mask",
         "alignment": corpus / str(train[0].alignment_path),
         "transform": ws / "models-baseline-hlda" / "transform.lin",
     }[damaged]
+    if damaged == "mask_rate":  # well formed but for a zero sample rate
+        header, bits = target.read_text().split("\n", 1)
+        fields = header.split()
+        blob = (" ".join(fields[:4] + ["0"] + fields[5:]) + "\n" + bits).encode("ascii")
     if damaged == "transform":  # evaluate reads the model set's copy
         command, mode, blob = "evaluate", "baseline-hlda", b"ACHLDA1 hlda a 2 1\n"
         listing = ws / "models-baseline-hlda" / "modelset.txt"

@@ -76,6 +76,12 @@ DAMAGED = {
     "mask-non_numeric_count": b"ACMASK1 u 400 200 8000 x\n1\n",
     "mask-non_ascii_bits": "ACMASK1 u 400 200 8000 1\né\n".encode("utf-8"),
     "mask-short_header": b"ACMASK1 u 400 200\n1\n",
+    "mask-zero_rate": b"ACMASK1 u 400 200 0 3\n101\n",
+    "mask-negative_rate": b"ACMASK1 u 400 200 -8000 3\n101\n",
+    "mask-zero_frame_len": b"ACMASK1 u 0 200 8000 3\n101\n",
+    "mask-negative_hop": b"ACMASK1 u 400 -200 8000 3\n101\n",
+    "mask-zero_hop": b"ACMASK1 u 400 0 8000 3\n101\n",
+    "mask-bit_not_0_or_1": b"ACMASK1 u 400 200 8000 3\n1x1\n",
     "alignment-not_utf8": NOT_UTF8,
     "manifest-not_utf8": NOT_UTF8,
     "config-not_utf8": NOT_UTF8,
