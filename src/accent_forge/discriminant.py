@@ -6,7 +6,14 @@ w' S_W w = 1. HLDA fits a square transform by maximum likelihood under
 diagonal Gaussian class models: the retained rows use per-class variances,
 the remaining rows share the global ones. Rows are updated one at a time in
 closed form from the cofactor direction, and an update is only accepted if
-it does not lower the objective.
+it does not lower the objective (Gales 1999; objective from Kumar & Andreou
+1998).
+
+A sweep inverts A once and keeps the inverse current by Sherman-Morrison
+rank-one updates; a nuisance row's system is a multiple of the total
+covariance, inverted once per fit. This rounds differently from a dense
+inverse and solve per row; the tests hold the rows to 1e-7 of that naive
+scheme. The fit is deterministic.
 """
 
 from __future__ import annotations
@@ -158,17 +165,17 @@ def _class_stats(data: LabeledFeatures):
     return covs, 0.5 * (total + total.T), data.class_counts
 
 
+def _variances(rows, covs) -> np.ndarray:
+    """Variance of every row (R, M) under every covariance (C, M, M), as (C, R)."""
+    return np.einsum("crk,rk->cr", rows @ covs, rows)
+
+
 def _hlda_objective(a, covs, total_cov, counts, m, n_rows) -> float:
     sign, logdet = np.linalg.slogdet(a)
     if sign == 0:
         raise np.linalg.LinAlgError("transform became singular")
-    retained = a[:m]
-    nuisance = a[m:]
-    class_terms = 0.0
-    for cov, count in zip(covs, counts):
-        q = np.einsum("jk,kl,jl->j", retained, cov, retained)
-        class_terms += (count / n_rows) * np.sum(np.log(q))
-    nuisance_q = np.einsum("jk,kl,jl->j", nuisance, total_cov, nuisance)
+    class_terms = float(counts @ np.log(_variances(a[:m], covs)).sum(axis=1)) / n_rows
+    nuisance_q = _variances(a[m:], total_cov[None])[0]
     return n_rows * logdet - 0.5 * n_rows * (class_terms + float(np.sum(np.log(nuisance_q))))
 
 
@@ -177,37 +184,54 @@ def hlda_converged(trace, rel_tol: float = HLDA_REL_TOL) -> bool:
     return len(trace) >= 2 and bool(trace[-1] - trace[-2] < rel_tol * abs(trace[-2]))
 
 
+def _hlda_sweep(a, covs, total_cov, total_inv, counts, m, n_rows) -> np.ndarray:
+    """Update every row of A once, in place; return inv(A).T as kept current.
+
+    Row j of inv(A).T is the cofactor direction of row j (up to det A). It
+    is inverted once here and, after each accepted row, updated by
+    Sherman-Morrison: replacing row j by c subtracts from inv(A).T the outer
+    product of inv(A).T (c - a_j) and cof_j, divided by c . cof_j, which is
+    non-zero whenever the gain is finite.
+    """
+    cofs = np.linalg.inv(a).T.copy()
+    flat_covs = covs.reshape(covs.shape[0], -1)
+    for j in range(a.shape[0]):
+        cof = cofs[j]
+        row = a[j]
+        # retained rows see every class model, nuisance rows the global one,
+        # whose g = (n / q) total_cov needs no solve
+        if j < m:
+            q = (covs @ row) @ row
+            g = ((counts / q) @ flat_covs).reshape(row.size, row.size)
+            direction = np.linalg.solve(g, cof)
+        else:
+            q = float(row @ total_cov @ row)
+            direction = (q / n_rows) * (total_inv @ cof)
+        denom = float(cof @ direction)
+        if denom <= 0:
+            continue
+        candidate = direction * np.sqrt(n_rows / denom)
+
+        # change in objective if the candidate replaces row j
+        pivot = float(candidate @ cof)
+        gain = n_rows * (np.log(abs(pivot)) - np.log(abs(float(row @ cof))))
+        if j < m:
+            gain -= 0.5 * float(counts @ (np.log((covs @ candidate) @ candidate) - np.log(q)))
+        else:
+            gain -= 0.5 * n_rows * (np.log(float(candidate @ total_cov @ candidate)) - np.log(q))
+        if np.isfinite(gain) and gain >= 0.0:
+            cofs -= (cofs @ (candidate - row))[:, None] * (cof / pivot)
+            a[j] = candidate
+    return cofs
+
+
 def _hlda_optimize(a0, covs, total_cov, counts, m, n_rows, max_iters, rel_tol):
     """Row-wise cofactor updates; returns (A, objective trace per sweep)."""
     a = a0.copy()
-    dims = a.shape[1]
+    total_inv = np.linalg.inv(total_cov)
     trace = [_hlda_objective(a, covs, total_cov, counts, m, n_rows)]
     for _ in range(max_iters):
-        for j in range(dims):
-            cof = np.linalg.inv(a).T[j]  # cofactor direction for row j
-            row = a[j]
-            # retained rows see every class model, nuisance rows the global
-            # one; each model's variance along the row serves g and the gain
-            stats = list(zip(covs, counts)) if j < m else [(total_cov, n_rows)]
-            row_q = [float(row @ cov @ row) for cov, _ in stats]
-            if j < m:
-                g = np.zeros((dims, dims))
-                for (cov, count), q in zip(stats, row_q):
-                    g += (count / q) * cov
-            else:
-                g = (n_rows / row_q[0]) * total_cov
-            direction = np.linalg.solve(g, cof)
-            denom = float(cof @ direction)
-            if denom <= 0:
-                continue
-            candidate = direction * np.sqrt(n_rows / denom)
-
-            # change in objective if the candidate replaces row j
-            gain = n_rows * (np.log(abs(float(candidate @ cof))) - np.log(abs(float(row @ cof))))
-            for (cov, count), q in zip(stats, row_q):
-                gain -= 0.5 * count * (np.log(float(candidate @ cov @ candidate)) - np.log(q))
-            if np.isfinite(gain) and gain >= 0.0:
-                a[j] = candidate
+        _hlda_sweep(a, covs, total_cov, total_inv, counts, m, n_rows)
         trace.append(_hlda_objective(a, covs, total_cov, counts, m, n_rows))
         if hlda_converged(trace, rel_tol):
             break
@@ -223,15 +247,9 @@ def _order_rows_by_class_gain(rows, covs, total_cov, counts, n_rows):
     The sort is stable, so equally useless directions keep their eigenvalue
     order.
     """
-    gains = np.empty(rows.shape[0])
-    for j, row in enumerate(rows):
-        shared = np.log(float(row @ total_cov @ row))
-        per_class = sum(
-            (count / n_rows) * np.log(float(row @ cov @ row))
-            for cov, count in zip(covs, counts)
-        )
-        gains[j] = shared - per_class
-    order = np.argsort(-gains, kind="stable")
+    shared = np.log(_variances(rows, total_cov[None])[0])
+    per_class = (counts / n_rows) @ np.log(_variances(rows, covs))
+    order = np.argsort(-(shared - per_class), kind="stable")
     return rows[order]
 
 
@@ -249,12 +267,13 @@ def hlda_fit(
     gain (row updates refine directions but cannot swap a retained row for
     a nuisance one, so the initial partition must already be the profitable
     one). A restart from the identity happens once if the transform
-    degenerates. Stopping at max_iters without converging logs a warning.
+    degenerates; a DataError if that fails too. Stopping at max_iters
+    without converging logs a warning.
     """
     if not 1 <= m < data.dims:
         raise ValueError(f"retained dims {m} must lie in 1..{data.dims - 1}")
     covs, total_cov, counts = _class_stats(data)
-    covs = [_ensure_spd(c, "class covariance") for c in covs]
+    covs = np.stack([_ensure_spd(c, "class covariance") for c in covs])
     total_cov = _ensure_spd(total_cov, "total covariance")
 
     start = _order_rows_by_class_gain(
@@ -272,9 +291,9 @@ def hlda_fit(
                 restart, covs, total_cov, counts, m, data.n_rows, max_iters, rel_tol
             )
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"optimization failed from both starts (dims={data.dims}, m={m}): {exc}"
-            )
+            raise DataError(
+                f"HLDA failed from both starts (dims={data.dims}, m={m}): {exc}"
+            ) from None
     if not hlda_converged(trace, rel_tol):
         step = (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) >= 2 else float("nan")
         logger.warning(

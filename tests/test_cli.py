@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -28,8 +30,14 @@ from accent_forge.corpus import (
     parse_manifest,
     split_dataset,
 )
-from accent_forge.discriminant import LabeledFeatures, hlda_converged, hlda_fit, save_transform
-from accent_forge.errors import DataError, UsageError
+from accent_forge.discriminant import (
+    LabeledFeatures,
+    hlda_converged,
+    hlda_fit,
+    load_transform,
+    save_transform,
+)
+from accent_forge.errors import ConsistencyError, DataError, UsageError
 from accent_forge.features import context_expand, read_feature_archive, write_feature_archive
 from accent_forge.report import (
     EvaluationReport,
@@ -38,7 +46,7 @@ from accent_forge.report import (
     write_eval_report,
 )
 from accent_forge.synth import generate_corpus, synthesize_utterance
-from accent_forge import accent, pipeline
+from accent_forge import accent, discriminant, pipeline
 from test_readers import MUTATION, mutate
 
 FULL_CONFIG = """\
@@ -812,3 +820,90 @@ def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys,
     assert rc == 2
     assert "accent-forge: data error:" in err and target.name in err
     assert "Traceback" not in err
+
+
+def test_hlda_failure_exits_2_without_traceback(shared_ws, tmp_path, monkeypatch, capsys):
+    manifest, _, features = shared_ws
+    ws = fresh_workspace(features, tmp_path)
+    cfg_path = tmp_path / "ctx0.ini"
+    cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("transform became singular")
+
+    monkeypatch.setattr(discriminant, "_hlda_optimize", failing)
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+               "--out", str(ws), "--mode", "baseline-hlda"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "accent-forge: data error: HLDA failed from both starts (dims=39, m=8)" in err
+    assert "Traceback" not in err
+
+
+# What `evaluate --mode baseline-hlda` reads, each file with the readers that
+# take it on its own: model-set files are read through the model set
+EVALUATE_INPUTS = {
+    "config": lambda run: load_config(run["config"]),
+    "manifest": lambda run: parse_manifest(run["manifest"]),
+    "fingerprint": lambda run: pipeline._check_fingerprint(
+        run["fingerprint"].parent, config_fingerprint(run["cfg"]), "feature archive"
+    ),
+    "features": lambda run: read_feature_archive(run["features"]),
+    "modelset": lambda run: accent.load_model_set(run["modelset"].parent),
+    "gmm": lambda run: accent.load_model_set(run["gmm"].parent.parent),
+    "transform": lambda run: (
+        accent.load_model_set(run["transform"].parent), load_transform(run["transform"])
+    ),
+}
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    target=st.sampled_from(sorted(EVALUATE_INPUTS)),
+    record_digest=st.booleans(),
+    mutations=st.lists(MUTATION, min_size=1, max_size=3),
+)
+def test_mutated_input_exits_2_or_3(hlda_trained, target, record_digest, mutations):
+    # A file whose own reader rejects it gives that error's exit code: 2 for
+    # damage, 3 for a mismatch. One that still reads may run or fail with
+    # either code, but never escapes as an exception.
+    manifest, cfg, cfg_path, trained = hlda_trained
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        shutil.copytree(trained, ws)
+        models = ws / "models-baseline-hlda"
+        _, test = split_ids(manifest, cfg, "test")
+        run = {
+            "cfg": cfg,
+            "config": Path(tmp) / "c.ini",
+            "manifest": Path(tmp) / "m.tsv",
+            "fingerprint": ws / "features" / "fingerprint.txt",
+            "features": ws / "features" / f"{test[0].utterance_id}.feat",
+            "modelset": models / "modelset.txt",
+            "gmm": models / "models" / "A.gmm",
+            "transform": models / "transform.lin",
+        }
+        shutil.copy(cfg_path, run["config"])
+        shutil.copy(manifest, run["manifest"])
+        path = run[target]
+        before = path.read_bytes()
+        path.write_bytes(mutate(before, mutations))
+        if target in ("gmm", "transform") and record_digest:
+            listing = models / "modelset.txt"
+            listing.write_text(listing.read_text().replace(
+                hashlib.sha256(before).hexdigest(), hashlib.sha256(path.read_bytes()).hexdigest()
+            ))
+        try:
+            EVALUATE_INPUTS[target](run)
+            expected = (0, 2, 3)
+        except DataError:
+            expected = (2,)
+        except ConsistencyError:
+            expected = (3,)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["evaluate", "--manifest", str(run["manifest"]), "--config", str(run["config"]),
+                       "--out", str(ws), "--mode", "baseline-hlda"])
+        assert rc in expected, f"{target}: exit {rc}, expected {expected}: {err.getvalue()}"
+        assert "Traceback" not in err.getvalue()
