@@ -3,9 +3,12 @@
 Every command takes the manifest, the parsed configuration, and a workspace
 root. Stages write into fixed subdirectories of the workspace (vad/,
 features/, transform/, models-<mode>/, reports/), so later stages find
-earlier ones by convention. The configuration fingerprint is stored with
-features and models; stages refuse to mix artifacts with mismatched
-fingerprints.
+earlier ones by convention. The run is one chain, vad -> featurize ->
+train -> evaluate: vad is the only stage that removes silence, featurize
+extracts features from the speech vad's masks keep, and train and evaluate
+read both the features and the masks. The configuration fingerprint is
+stored with masks, features and models; each stage refuses a missing
+predecessor or one with a mismatched fingerprint.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .accent import (
     train_baseline,
     vowel_weights,
 )
-from .audio import load_audio
+from .audio import frame_signal, load_audio
 from .config import PipelineConfig, config_fingerprint
 from .corpus import (
     VOWELS,
@@ -78,7 +81,7 @@ from .report import (
     write_vad_report,
 )
 from .synth import generate_corpus
-from .vad import load_mask, remove_silence, save_mask
+from .vad import load_mask, masked_speech, remove_silence, save_mask
 
 logger = logging.getLogger(__name__)
 
@@ -167,59 +170,49 @@ def cmd_vad(manifest_path, cfg: PipelineConfig, out_dir) -> VadReport:
             }
         )
     report = VadReport(rows=rows, fingerprint=config_fingerprint(cfg))
+    _write_fingerprint(mask_dir, report.fingerprint)
     write_vad_report(report_dir / "vad.json", report)
     (report_dir / "vad.txt").write_text(format_vad_table(report), encoding="utf-8")
     return report
 
 
 def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
-    """Silence-remove, extract normalized features, and archive them per utterance."""
+    """Extract normalized features from the speech vad kept and archive them per utterance."""
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
     root = Path(out_dir)
+    fingerprint = config_fingerprint(cfg)
+    _check_fingerprint(root / "vad", fingerprint, "speech masks")
     feat_dir = root / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
 
-    def extract(entry: ManifestEntry):
-        try:
-            audio = load_audio(_resolve(manifest_path.parent, entry.audio_path))
-        except DataError as exc:
-            logger.warning("skipping %s: %s", entry.utterance_id, exc)
-            return None
-        speech, mask, _ = remove_silence(audio, cfg.vad)
-        feats = plp_with_deltas(speech, cfg, entry.utterance_id)
-        return feats, mask
+    def extract(entry: ManifestEntry) -> FeatureMatrix:
+        wav = _resolve(manifest_path.parent, entry.audio_path)
+        audio = load_audio(wav)
+        mask_path = root / "vad" / f"{entry.utterance_id}.mask"
+        _, mask = load_mask(mask_path)
+        fs = frame_signal(audio, cfg.vad.frame_len_ms, cfg.vad.hop_ms)
+        if (mask.sample_rate, mask.frame_len, mask.hop, mask.n_frames) != (
+            fs.sample_rate, fs.frame_len, fs.hop, fs.n_frames
+        ):
+            raise ConsistencyError(
+                f"{mask_path} does not frame {wav} as the [vad] configuration does; run vad again"
+            )
+        return plp_with_deltas(masked_speech(audio, mask), cfg, entry.utterance_id)
 
-    results = _map_ordered(extract, manifest.entries)
-    produced = 0
-    pending = []
-    for entry, result in zip(manifest.entries, results):
-        if result is None:
-            continue
-        feats, mask = result
-        pending.append((entry, feats, mask))
-
+    feats = _map_ordered(extract, manifest.entries)
     if cfg.mvn_scope == "global":
-        usable = [f for _, f, _ in pending if f.n_frames > 0]
+        usable = [f for f in feats if f.n_frames > 0]
         if usable:
             mean, std = mvn_stats(usable)
-            pending = [
-                (entry, f.with_values(apply_mvn(f.values, mean, std)), mask)
-                for entry, f, mask in pending
-            ]
+            feats = [f.with_values(apply_mvn(f.values, mean, std)) for f in feats]
     else:
-        pending = [
-            (entry, mvn(f) if f.n_frames > 0 else f, mask) for entry, f, mask in pending
-        ]
+        feats = [mvn(f) if f.n_frames > 0 else f for f in feats]
 
-    for entry, feats, mask in pending:
-        write_feature_archive(feat_dir / f"{entry.utterance_id}.feat", [feats])
-        save_mask(feat_dir / f"{entry.utterance_id}.mask", entry.utterance_id, mask)
-        produced += 1
-    if manifest.entries and produced == 0:
-        raise DataError("no utterance could be featurized")
-    _write_fingerprint(feat_dir, config_fingerprint(cfg))
-    return produced
+    for entry, f in zip(manifest.entries, feats):
+        write_feature_archive(feat_dir / f"{entry.utterance_id}.feat", [f])
+    _write_fingerprint(feat_dir, fingerprint)
+    return len(feats)
 
 
 def plp_with_deltas(speech, cfg: PipelineConfig, utterance_id: str) -> FeatureMatrix:
@@ -250,27 +243,28 @@ class _Run:
             raise DataError(f"{path}: expected a single-utterance archive")
         return records[0]
 
-    def vowel_view(self, entry: ManifestEntry, feats: FeatureMatrix, transform: LinearTransform, tau: float):
-        """Projected features and the confidence-filtered, silence-compacted vowel segments."""
+    def vowel_segments(self, entry: ManifestEntry, tau: float):
+        """The confidence-filtered vowel segments, remapped onto silence-removed time."""
         utt = entry.utterance_id
         if not entry.alignment_path:
             raise DataError(f"{utt}: manifest has no alignment path (vowel mode needs one)")
         segments = parse_alignment(_resolve(self.manifest_dir, entry.alignment_path))
         segments, _ = filter_by_confidence(segments, tau)
-        _, mask = load_mask(self.root / "features" / f"{utt}.mask")
+        _, mask = load_mask(self.root / "vad" / f"{utt}.mask")
         remap = vad_mask_to_alignment_time(mask)
         remapped = [remap.segment(s) for s in segments]
-        return _model_input(feats, self.cfg, transform), [s for s in remapped if s is not None]
+        return [s for s in remapped if s is not None]
 
 
 def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: str) -> _Run:
-    """Check the mode, read the manifest, check the features' fingerprint and split."""
+    """Check the mode, read the manifest, check the masks' and features' fingerprints and split."""
     if mode not in MODES:
         raise DataError(f"unknown {action} mode {mode!r}; expected one of {MODES}")
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
     root = Path(out_dir)
     fingerprint = config_fingerprint(cfg)
+    _check_fingerprint(root / "vad", fingerprint, "speech masks")
     _check_fingerprint(root / "features", fingerprint, "feature archive")
     tags = split_dataset(manifest, seed=cfg.seed).tags
     parts = {
@@ -406,7 +400,8 @@ def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelMod
     cfg, labels = run.cfg, run.labels
     train_vowel_frames: dict[tuple[str, str], list[np.ndarray]] = {}
     for entry, (accent, feats) in zip(run.parts["train"], train_feats):
-        projected, segments = run.vowel_view(entry, feats, transform, float("-inf"))
+        projected = _model_input(feats, cfg, transform)
+        segments = run.vowel_segments(entry, float("-inf"))
         for v in VOWELS:
             rows = extract_vowel_frames(projected, segments, v)
             if rows.n_frames:
@@ -445,7 +440,7 @@ def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelMod
     )
 
     dev = [
-        (e.accent, *run.vowel_view(e, run.features(e), transform, float("-inf")))
+        (e.accent, _model_input(run.features(e), cfg, transform), run.vowel_segments(e, float("-inf")))
         for e in run.parts["dev"]
     ]
     memo: dict = {}  # shared by selection and every τ grid point
@@ -536,6 +531,7 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
     labels = model_set.labels
     index = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    vowel = isinstance(model_set, VowelModelSet)
     skipped = 0
     for entry in run.parts["test"]:
         if entry.accent not in index:
@@ -543,17 +539,15 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
                 f"{entry.utterance_id}: accent {entry.accent!r} is not covered by the model set {labels}"
             )
         feats = run.features(entry)
+        # a missing or damaged alignment or mask is a data error, as in training
+        segments = run.vowel_segments(entry, model_set.confidence_tau) if vowel else None
         try:
-            if isinstance(model_set, VowelModelSet):
-                projected, segments = run.vowel_view(
-                    entry, feats, transform, model_set.confidence_tau
-                )
-                per_vowel = {v: extract_vowel_frames(projected, segments, v) for v in model_set.subset}
-                result = classify_vowel(
-                    model_set, per_vowel, cfg.frame_normalized_vowel_scores
-                )
+            X = _model_input(feats, cfg, transform)
+            if vowel:
+                per_vowel = {v: extract_vowel_frames(X, segments, v) for v in model_set.subset}
+                result = classify_vowel(model_set, per_vowel, cfg.frame_normalized_vowel_scores)
             else:
-                result = classify_baseline(model_set, _model_input(feats, cfg, transform))
+                result = classify_baseline(model_set, X)
         except (DataError, ValueError) as exc:
             logger.warning("skipping %s: %s", entry.utterance_id, exc)
             skipped += 1

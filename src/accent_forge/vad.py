@@ -133,55 +133,57 @@ def _drop_short_runs(keep: np.ndarray, min_frames: int) -> np.ndarray:
     return out
 
 
+def masked_speech(audio: AudioBuffer, mask: SpeechMask) -> AudioBuffer:
+    """The speech a mask keeps: frame i contributes its hop-length slice
+    [i*hop, i*hop + hop), clipped to the signal. A mask of fewer than two
+    frames keeps the audio whole, as remove_silence does for audio that short.
+    """
+    if mask.n_frames < 2:
+        return audio
+    x = audio.samples
+    covered = np.repeat(mask.keep, mask.hop)[: x.size]
+    return AudioBuffer(x[: covered.size][covered], audio.sample_rate)
+
+
 def remove_silence(
     audio: AudioBuffer, cfg: VadConfig | None = None
 ) -> tuple[AudioBuffer, SpeechMask, float]:
     """Strip silence and non-speech noise from a waveform.
 
-    Returns the retained speech (concatenated hop-length slices of kept
-    frames), the per-frame keep mask, and the compression rate
-    (kept frames / total frames). Audio shorter than two frames is returned
-    unchanged with rate 1.0; all-zero audio yields empty speech and rate 0.0.
-    If no run of frames clears both thresholds, the frames that clear the
-    energy threshold are kept instead, still dropping runs shorter than
-    min_segment_ms.
+    Returns the retained speech (masked_speech of the mask), the per-frame
+    keep mask, and the compression rate (kept frames / total frames). Audio
+    shorter than two frames is returned unchanged with rate 1.0; all-zero
+    audio yields empty speech and rate 0.0. If no run of frames clears both
+    thresholds, the frames that clear the energy threshold are kept instead,
+    still dropping runs shorter than min_segment_ms.
     """
     cfg = cfg or VadConfig()
     if audio.samples.size == 0:
         raise DataError("cannot remove silence from empty audio")
 
     fs = frame_signal(audio, cfg.frame_len_ms, cfg.hop_ms)
-    x = audio.samples
-    if x.size < fs.frame_len or fs.n_frames < 2:
-        mask = SpeechMask(np.ones(max(fs.n_frames, 1), dtype=bool), fs.frame_len, fs.hop, fs.sample_rate)
-        return audio, mask, 1.0
-
     energy = np.mean(fs.frames * fs.frames, axis=1)
-    if float(np.max(energy)) == 0.0:
-        mask = SpeechMask(np.zeros(fs.n_frames, dtype=bool), fs.frame_len, fs.hop, fs.sample_rate)
-        return AudioBuffer(np.zeros(0), fs.sample_rate), mask, 0.0
+    # audio shorter than two frames is kept whole; all-zero audio keeps nothing
+    keep = np.full(fs.n_frames, fs.n_frames < 2)
+    if fs.n_frames >= 2 and float(np.max(energy)) > 0.0:
+        centroid = _centroids(np.abs(np.fft.rfft(fs.frames, axis=1)))
 
-    centroid = _centroids(np.abs(np.fft.rfft(fs.frames, axis=1)))
+        energy_s = median_smooth(median_smooth(energy, cfg.smooth_window), cfg.smooth_window)
+        centroid_s = median_smooth(median_smooth(centroid, cfg.smooth_window), cfg.smooth_window)
+        t_energy = estimate_threshold(energy_s, cfg.threshold_weight)
+        t_centroid = estimate_threshold(centroid_s, cfg.threshold_weight)
 
-    energy_s = median_smooth(median_smooth(energy, cfg.smooth_window), cfg.smooth_window)
-    centroid_s = median_smooth(median_smooth(centroid, cfg.smooth_window), cfg.smooth_window)
-    t_energy = estimate_threshold(energy_s, cfg.threshold_weight)
-    t_centroid = estimate_threshold(centroid_s, cfg.threshold_weight)
+        keep = (energy_s >= t_energy) & (centroid_s >= t_centroid)
+        min_frames = int(math.ceil(cfg.min_segment_ms / cfg.hop_ms))
+        keep = _drop_short_runs(keep, min_frames)
+        if not keep.any():
+            # In speech-dense audio the centroid histogram can put its threshold
+            # above nearly every frame; the energy rule alone still finds speech.
+            keep = _drop_short_runs(energy_s >= t_energy, min_frames)
 
-    keep = (energy_s >= t_energy) & (centroid_s >= t_centroid)
-    min_frames = int(math.ceil(cfg.min_segment_ms / cfg.hop_ms))
-    keep = _drop_short_runs(keep, min_frames)
-    if not keep.any():
-        # In speech-dense audio the centroid histogram can put its threshold
-        # above nearly every frame; the energy rule alone still finds speech.
-        keep = _drop_short_runs(energy_s >= t_energy, min_frames)
-
-    # frame i contributes its hop-length slice [i*hop, i*hop + hop), clipped to the signal
-    covered = np.repeat(keep, fs.hop)[: x.size]
-    speech = x[: covered.size][covered]
-    rate = float(np.count_nonzero(keep)) / fs.n_frames
     mask = SpeechMask(keep, fs.frame_len, fs.hop, fs.sample_rate)
-    return AudioBuffer(speech, fs.sample_rate), mask, rate
+    rate = float(np.count_nonzero(keep)) / fs.n_frames
+    return masked_speech(audio, mask), mask, rate
 
 
 def save_mask(path, utterance_id: str, mask: SpeechMask) -> None:
@@ -196,8 +198,8 @@ def save_mask(path, utterance_id: str, mask: SpeechMask) -> None:
 
 
 def load_mask(path) -> tuple[str, SpeechMask]:
-    """Read a speech mask written by save_mask; any damage is a DataError
-    naming the file."""
+    """Read a speech mask written by save_mask; a missing, unreadable or
+    damaged file is a DataError naming it."""
     try:  # ValueError also covers text that is not UTF-8, or bits not ASCII
         with open(path, "r", encoding="utf-8") as fh:
             magic, utt, frame_len, hop, sr, n = fh.readline().split()
@@ -206,6 +208,8 @@ def load_mask(path) -> tuple[str, SpeechMask]:
         keep = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
     except ValueError:
         raise DataError(f"{path}: not an ACMASK1 file") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the speech mask ({exc.strerror}); run vad first") from None
     if magic != "ACMASK1":
         raise DataError(f"{path}: not an ACMASK1 file")
     if min(frame_len, hop, sr) <= 0:

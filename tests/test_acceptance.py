@@ -311,9 +311,10 @@ def test_artifact_round_trips_and_rerun_equality(tmp_path):
     for rel in ("manifest.tsv", "audio/A0000.wav", "align/B0002.ali"):
         assert (tmp_path / "c1" / rel).read_bytes() == (tmp_path / "c2" / rel).read_bytes()
 
-    pipeline.cmd_featurize(m1, cfg, tmp_path / "w1")
-    pipeline.cmd_featurize(m2, cfg, tmp_path / "w2")
-    for rel in ("features/A0000.feat", "features/B0001.mask", "features/fingerprint.txt"):
+    for m, w in ((m1, tmp_path / "w1"), (m2, tmp_path / "w2")):
+        pipeline.cmd_vad(m, cfg, w)
+        pipeline.cmd_featurize(m, cfg, w)
+    for rel in ("vad/B0001.mask", "vad/fingerprint.txt", "features/A0000.feat", "features/fingerprint.txt"):
         assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
 
     for mode in ("baseline-plp", "baseline-hlda", "vowel-hlda"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from accent_forge.audio import AudioBuffer, save_audio
+from accent_forge.audio import AudioBuffer, load_audio, save_audio
 from accent_forge.cli import main
 from accent_forge.config import (
     SynthSpec,
@@ -46,7 +46,7 @@ from accent_forge.report import (
     write_eval_report,
 )
 from accent_forge.synth import generate_corpus, synthesize_utterance
-from accent_forge import accent, discriminant, pipeline
+from accent_forge import accent, discriminant, pipeline, vad
 from test_readers import MUTATION, mutate
 
 FULL_CONFIG = """\
@@ -256,11 +256,18 @@ def tiny_workspace(tmp_path_factory):
     cfg_path.write_text(FULL_CONFIG)
     assert main(["synthcorpus", "--config", str(cfg_path), "--out", str(root / "corpus")]) == 0
     manifest = root / "corpus" / "manifest.tsv"
-    assert main([
-        "featurize", "--manifest", str(manifest), "--config", str(cfg_path),
-        "--out", str(root / "work"),
-    ]) == 0
+    for stage in ("vad", "featurize"):
+        assert main([
+            stage, "--manifest", str(manifest), "--config", str(cfg_path), "--out", str(root / "work"),
+        ]) == 0
     return root, cfg_path, manifest
+
+
+def front_end(manifest, cfg_path, out):
+    """Run vad and featurize through the CLI; return featurize's exit code."""
+    args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(out)]
+    assert main(["vad", *args]) == 0
+    return main(["featurize", *args])
 
 
 class TestCliCommands:
@@ -298,15 +305,14 @@ class TestCliCommands:
 
     def test_featurize_rerun_is_byte_identical(self, tiny_workspace, tmp_path):
         root, cfg_path, manifest = tiny_workspace
-        assert main([
-            "featurize", "--manifest", str(manifest), "--config", str(cfg_path),
-            "--out", str(tmp_path / "again"),
-        ]) == 0
-        for name in ("A0000.feat", "B0003.feat", "A0001.mask", "fingerprint.txt"):
-            assert (
-                (tmp_path / "again" / "features" / name).read_bytes()
-                == (root / "work" / "features" / name).read_bytes()
-            )
+        assert front_end(manifest, cfg_path, tmp_path / "again") == 0
+        for rel in (
+            "features/A0000.feat", "features/B0003.feat", "features/fingerprint.txt",
+            "vad/A0001.mask", "vad/fingerprint.txt",
+        ):
+            assert (tmp_path / "again" / rel).read_bytes() == (root / "work" / rel).read_bytes()
+        # vad/ holds the only copy of each mask
+        assert not list((tmp_path / "again" / "features").glob("*.mask"))
 
     def test_train_evaluate_all_modes(self, tiny_workspace, capsys):
         root, cfg_path, manifest = tiny_workspace
@@ -350,7 +356,8 @@ class TestCliCommands:
     def test_damaged_gmm_exit_code(self, tiny_workspace, tmp_path, capsys):
         root, cfg_path, manifest = tiny_workspace
         ws = tmp_path / "w"
-        shutil.copytree(root / "work" / "features", ws / "features")
+        for stage in ("vad", "features"):
+            shutil.copytree(root / "work" / stage, ws / stage)
         args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(ws),
                 "--mode", "baseline-plp"]
         assert main(["train", *args]) == 0
@@ -385,10 +392,7 @@ class TestCliCommands:
         lda_cfg = tmp_path / "lda.ini"
         lda_cfg.write_text(FULL_CONFIG.replace("transform = hlda", "transform = lda"))
         out = tmp_path / "ldaw"
-        assert main([
-            "featurize", "--manifest", str(manifest), "--config", str(lda_cfg),
-            "--out", str(out),
-        ]) == 0
+        assert front_end(manifest, lda_cfg, out) == 0
         calls = count_calls(monkeypatch, "lda_fit")
         assert main([
             "train", "--manifest", str(manifest), "--config", str(lda_cfg),
@@ -421,10 +425,7 @@ class TestCliCommands:
         bad_cfg = tmp_path / "bad.ini"
         bad_cfg.write_text(FULL_CONFIG.replace("transform = hlda", "transform = none"))
         out = tmp_path / "w2"
-        assert main([
-            "featurize", "--manifest", str(manifest), "--config", str(bad_cfg),
-            "--out", str(out),
-        ]) == 0
+        assert front_end(manifest, bad_cfg, out) == 0
         rc = main([
             "train", "--manifest", str(manifest), "--config", str(bad_cfg),
             "--out", str(out), "--mode", "baseline-hlda",
@@ -438,10 +439,7 @@ class TestFeaturizeVariants:
         cfg2 = tmp_path / "g.ini"
         cfg2.write_text(FULL_CONFIG.replace("mvn_scope = utterance", "mvn_scope = global"))
         out = tmp_path / "gw"
-        assert main([
-            "featurize", "--manifest", str(manifest), "--config", str(cfg2),
-            "--out", str(out),
-        ]) == 0
+        assert front_end(manifest, cfg2, out) == 0
         from accent_forge.features import read_feature_archive
 
         stacked = np.vstack([
@@ -450,54 +448,134 @@ class TestFeaturizeVariants:
         assert np.max(np.abs(stacked.mean(axis=0))) < 1e-8
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) < 1e-6
 
-    def test_unreadable_audio_skipped(self, tiny_workspace, tmp_path):
+    def test_unreadable_audio_exits_2_naming_the_file(self, tiny_workspace, tmp_path, capsys):
+        # vad and featurize share one policy: an unreadable WAV stops the stage
         root, cfg_path, _ = tiny_workspace
-        bad_manifest = tmp_path / "m.tsv"
         good_wav = root / "corpus" / "audio" / "A0000.wav"
-        bad_manifest.write_text(
-            f"good\t{good_wav}\tA\n"
-            f"broken\t{tmp_path / 'missing.wav'}\tA\n"
-        )
-        out = tmp_path / "w"
-        assert main([
-            "featurize", "--manifest", str(bad_manifest), "--config", str(cfg_path),
-            "--out", str(out),
-        ]) == 0
-        assert (out / "features" / "good.feat").exists()
-        assert not (out / "features" / "broken.feat").exists()
+        lost_wav = tmp_path / "lost.wav"
+        shutil.copy(good_wav, lost_wav)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"good\t{good_wav}\tA\nlost\t{lost_wav}\tA\n")
+        args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(tmp_path / "w")]
+        assert main(["vad", *args]) == 0
+        lost_wav.unlink()
+        for stage in ("featurize", "vad"):
+            capsys.readouterr()
+            assert main([stage, *args]) == 2
+            err = capsys.readouterr().err
+            assert "accent-forge: data error:" in err and "lost.wav" in err
+            assert "Traceback" not in err
+        assert not list((tmp_path / "w" / "features").glob("*.feat"))
 
     def test_partial_sample_frame_is_a_data_error(self, tiny_workspace, tmp_path, capsys):
         root, cfg_path, _ = tiny_workspace
         good_wav = root / "corpus" / "audio" / "A0000.wav"
         cut_wav = tmp_path / "cut.wav"
-        cut_wav.write_bytes(good_wav.read_bytes()[:-1])  # 16-bit mono: ends inside a sample
+        shutil.copy(good_wav, cut_wav)
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"good\t{good_wav}\tA\ncut\t{cut_wav}\tA\n")
         args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(tmp_path / "w")]
-        capsys.readouterr()
-        assert main(["vad", *args]) == 2
-        err = capsys.readouterr().err
-        assert "accent-forge: data error:" in err and "cut.wav" in err
-        assert "Traceback" not in err
-        assert main(["featurize", *args]) == 0
-        assert (tmp_path / "w" / "features" / "good.feat").exists()
-        assert not (tmp_path / "w" / "features" / "cut.feat").exists()
+        assert main(["vad", *args]) == 0
+        cut_wav.write_bytes(good_wav.read_bytes()[:-1])  # 16-bit mono: ends inside a sample
+        for stage in ("vad", "featurize"):
+            capsys.readouterr()
+            assert main([stage, *args]) == 2
+            err = capsys.readouterr().err
+            assert "accent-forge: data error:" in err and "cut.wav" in err
+            assert "Traceback" not in err
 
     def test_all_unreadable_is_an_error(self, tiny_workspace, tmp_path):
         root, cfg_path, _ = tiny_workspace
+        broken_wav = tmp_path / "broken.wav"
+        shutil.copy(root / "corpus" / "audio" / "A0000.wav", broken_wav)
         bad_manifest = tmp_path / "m.tsv"
-        bad_manifest.write_text(f"broken\t{tmp_path / 'missing.wav'}\tA\n")
-        rc = main([
-            "featurize", "--manifest", str(bad_manifest), "--config", str(cfg_path),
-            "--out", str(tmp_path / "w2"),
-        ])
-        assert rc == 2
+        bad_manifest.write_text(f"broken\t{broken_wav}\tA\n")
+        args = ["--manifest", str(bad_manifest), "--config", str(cfg_path), "--out", str(tmp_path / "w2")]
+        assert main(["vad", *args]) == 0
+        broken_wav.unlink()
+        assert main(["featurize", *args]) == 2
+        assert main(["vad", *args]) == 2
 
     def test_vad_report_has_durations(self, tiny_workspace):
         root, _, _ = tiny_workspace
         report = json.loads((root / "work" / "reports" / "vad.json").read_text())
         for row in report["rows"]:
             assert row["retained_duration_s"] <= row["total_duration_s"]
+
+
+OTHER_VAD_CONFIG = FULL_CONFIG.replace("threshold_weight = 5.0", "threshold_weight = 4.0")
+
+
+class TestStageOrder:
+    """vad -> featurize -> train: each stage refuses a missing or stale predecessor."""
+
+    def test_remove_silence_runs_once_per_utterance(self, tiny_workspace, tmp_path, monkeypatch):
+        root, cfg_path, manifest = tiny_workspace
+        calls = []
+        real = vad.remove_silence
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (vad, pipeline):
+            monkeypatch.setattr(module, "remove_silence", counting)
+        assert front_end(manifest, cfg_path, tmp_path / "w") == 0
+        assert len(calls) == len(parse_manifest(manifest).entries)
+
+    def test_featurize_without_vad_exits_3(self, tiny_workspace, tmp_path, capsys):
+        root, cfg_path, manifest = tiny_workspace
+        capsys.readouterr()
+        assert main(["featurize", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "w")]) == 3
+        err = capsys.readouterr().err
+        assert "accent-forge: consistency error:" in err and "vad" in err
+        assert "Traceback" not in err
+
+    def test_featurize_after_vad_under_another_config_exits_3(self, tiny_workspace, tmp_path):
+        root, cfg_path, manifest = tiny_workspace
+        other = tmp_path / "other.ini"
+        other.write_text(OTHER_VAD_CONFIG)
+        ws = tmp_path / "w"
+        assert main(["vad", "--manifest", str(manifest), "--config", str(other), "--out", str(ws)]) == 0
+        assert main(["featurize", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(ws)]) == 3
+        assert not (ws / "features" / "fingerprint.txt").exists()
+
+    def test_train_with_vad_from_another_config_exits_3(self, tiny_workspace, tmp_path):
+        root, cfg_path, manifest = tiny_workspace
+        other = tmp_path / "other.ini"
+        other.write_text(OTHER_VAD_CONFIG)
+        ws = tmp_path / "w"
+        shutil.copytree(root / "work" / "features", ws / "features")
+        assert main(["vad", "--manifest", str(manifest), "--config", str(other), "--out", str(ws)]) == 0
+        assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(ws), "--mode", "baseline-plp"]) == 3
+
+    @pytest.mark.parametrize("change", ["shorter_audio", "frame_len", "hop", "sample_rate"])
+    def test_mask_that_does_not_frame_its_audio_exits_3(self, tiny_workspace, tmp_path, capsys, change):
+        root, cfg_path, _ = tiny_workspace
+        wav = tmp_path / "u.wav"
+        shutil.copy(root / "corpus" / "audio" / "A0000.wav", wav)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"u\t{wav}\tA\n")
+        args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(tmp_path / "w")]
+        assert main(["vad", *args]) == 0
+        mask = tmp_path / "w" / "vad" / "u.mask"
+        if change == "shorter_audio":  # the WAV was replaced after vad
+            audio = load_audio(wav)
+            save_audio(wav, AudioBuffer(audio.samples[: audio.samples.size // 2], audio.sample_rate))
+        else:  # a well-formed mask header with one framing field doubled
+            header, bits = mask.read_text().split("\n", 1)
+            fields = header.split()
+            field = {"frame_len": 2, "hop": 3, "sample_rate": 4}[change]
+            fields[field] = str(2 * int(fields[field]))
+            mask.write_text(" ".join(fields) + "\n" + bits)
+        capsys.readouterr()
+        assert main(["featurize", *args]) == 3
+        err = capsys.readouterr().err
+        assert "accent-forge: consistency error:" in err and "u.mask" in err and "u.wav" in err
+        assert "Traceback" not in err
 
 
 def count_calls(monkeypatch, name):
@@ -515,18 +593,21 @@ def count_calls(monkeypatch, name):
 
 @pytest.fixture(scope="module")
 def shared_ws(tiny_workspace):
-    """Features of the tiny corpus without context expansion, so HLDA fits are quick."""
+    """Masks and features of the tiny corpus without context expansion, so HLDA fits are quick."""
     root, _, manifest = tiny_workspace
     cfg_path = root / "ctx0.ini"
     cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
     cfg = load_config(cfg_path)
+    pipeline.cmd_vad(manifest, cfg, root / "ctx0")
     pipeline.cmd_featurize(manifest, cfg, root / "ctx0")
-    return manifest, cfg, root / "ctx0" / "features"
+    return manifest, cfg, root / "ctx0"
 
 
-def fresh_workspace(features, tmp_path):
-    ws = tmp_path / "w"
-    shutil.copytree(features, ws / "features")
+def fresh_workspace(prepared, parent):
+    """A new workspace under parent holding copies of prepared's vad/ and features/."""
+    ws = parent / "w"
+    for stage in ("vad", "features"):
+        shutil.copytree(prepared / stage, ws / stage)
     return ws
 
 
@@ -553,8 +634,8 @@ class TestSharedTransform:
         "order", [("baseline-hlda", "vowel-hlda"), ("vowel-hlda", "baseline-hlda")]
     )
     def test_one_fit_serves_both_modes(self, shared_ws, tmp_path, monkeypatch, order):
-        manifest, cfg, features = shared_ws
-        ws = fresh_workspace(features, tmp_path)
+        manifest, cfg, prepared = shared_ws
+        ws = fresh_workspace(prepared, tmp_path)
         calls = count_calls(monkeypatch, "hlda_fit")
         for mode in order:
             pipeline.cmd_train(manifest, cfg, ws, mode)
@@ -586,8 +667,8 @@ class TestSharedTransform:
         ],
     )
     def test_changed_or_damaged_cache_refits(self, shared_ws, tmp_path, monkeypatch, change):
-        manifest, cfg, features = shared_ws
-        ws = fresh_workspace(features, tmp_path)
+        manifest, cfg, prepared = shared_ws
+        ws = fresh_workspace(prepared, tmp_path)
         calls = count_calls(monkeypatch, "hlda_fit")
         pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
         first = (ws / "models-baseline-hlda" / "transform.lin").read_bytes()
@@ -600,6 +681,7 @@ class TestSharedTransform:
             write_feature_archive(path, [feats.with_values(feats.values * 1.001)])
         elif change == "config":
             cfg = replace(cfg, em=replace(cfg.em, max_iters=cfg.em.max_iters + 1))
+            pipeline.cmd_vad(manifest, cfg, ws)
             pipeline.cmd_featurize(manifest, cfg, ws)
         elif change == "truncated_transform":
             lin.write_bytes(lin.read_bytes()[:-8])
@@ -630,8 +712,8 @@ class TestSharedTransform:
         )
 
     def test_test_split_features_do_not_invalidate(self, shared_ws, tmp_path, monkeypatch):
-        manifest, cfg, features = shared_ws
-        ws = fresh_workspace(features, tmp_path)
+        manifest, cfg, prepared = shared_ws
+        ws = fresh_workspace(prepared, tmp_path)
         calls = count_calls(monkeypatch, "hlda_fit")
         pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
         _, test = split_ids(manifest, cfg, "test")
@@ -642,8 +724,8 @@ class TestSharedTransform:
         assert len(calls) == 1
 
     def test_damaged_cache_through_cli(self, shared_ws, tmp_path, capsys):
-        manifest, cfg, features = shared_ws
-        ws = fresh_workspace(features, tmp_path)
+        manifest, cfg, prepared = shared_ws
+        ws = fresh_workspace(prepared, tmp_path)
         cfg_path = tmp_path / "ctx0.ini"
         cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
         args = ["train", "--manifest", str(manifest), "--config", str(cfg_path),
@@ -658,10 +740,9 @@ class TestSharedTransform:
 @pytest.fixture(scope="module")
 def cached_transform(shared_ws, tmp_path_factory):
     """A workspace whose transform cache is whole, and the bytes of a fresh fit."""
-    manifest, cfg, features = shared_ws
+    manifest, cfg, prepared = shared_ws
     root = tmp_path_factory.mktemp("cached")
-    ws = root / "ws"
-    shutil.copytree(features, ws / "features")
+    ws = fresh_workspace(prepared, root)
     transform, _ = fresh_fit(manifest, cfg, ws)
     save_transform(root / "fresh.lin", transform)
     run = pipeline._open_run(manifest, cfg, ws, "baseline-hlda", "training")
@@ -709,8 +790,8 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
     """Over all of vowel-hlda training, the vowel models score each distinct
     (dev utterance, vowel, kept intervals) once per accent: subset selection
     and every τ grid point read one shared table."""
-    manifest, cfg, features = shared_ws
-    ws = fresh_workspace(features, tmp_path)
+    manifest, cfg, prepared = shared_ws
+    ws = fresh_workspace(prepared, tmp_path)
     tables = []
     real_table, real_score = pipeline._dev_scores, accent.mixture_log_likelihood
 
@@ -766,12 +847,11 @@ def test_workers_env_override(monkeypatch, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def hlda_trained(shared_ws, tmp_path_factory):
     """The context-0 workspace after training baseline-hlda through the CLI."""
-    manifest, cfg, features = shared_ws
+    manifest, cfg, prepared = shared_ws
     root = tmp_path_factory.mktemp("hlda")
     cfg_path = root / "ctx0.ini"
     cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
-    ws = root / "ws"
-    shutil.copytree(features, ws / "features")
+    ws = fresh_workspace(prepared, root)
     assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
                  "--out", str(ws), "--mode", "baseline-hlda"]) == 0
     return manifest, cfg, cfg_path, ws
@@ -797,8 +877,8 @@ def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys,
         "manifest": manifest,
         "fingerprint": ws / "features" / "fingerprint.txt",
         "features": ws / "features" / f"{train[0].utterance_id}.feat",
-        "mask": ws / "features" / f"{train[0].utterance_id}.mask",
-        "mask_rate": ws / "features" / f"{train[0].utterance_id}.mask",
+        "mask": ws / "vad" / f"{train[0].utterance_id}.mask",
+        "mask_rate": ws / "vad" / f"{train[0].utterance_id}.mask",
         "alignment": corpus / str(train[0].alignment_path),
         "transform": ws / "models-baseline-hlda" / "transform.lin",
     }[damaged]
@@ -822,9 +902,39 @@ def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def vowel_trained(hlda_trained, tmp_path_factory):
+    """The context-0 workspace after training vowel-hlda as well."""
+    manifest, cfg, cfg_path, trained = hlda_trained
+    ws = tmp_path_factory.mktemp("vowel") / "ws"
+    shutil.copytree(trained, ws)
+    assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                 "--out", str(ws), "--mode", "vowel-hlda"]) == 0
+    return manifest, cfg, cfg_path, ws
+
+
+@pytest.mark.parametrize("command", ["featurize", "train", "evaluate"])
+def test_missing_mask_exits_2_naming_it(vowel_trained, tmp_path, capsys, command):
+    manifest, cfg, cfg_path, trained = vowel_trained
+    ws = tmp_path / "w"
+    shutil.copytree(trained, ws)
+    # evaluate reads the masks of the test split, the others those of the train split
+    _, entries = split_ids(manifest, cfg, "test" if command == "evaluate" else "train")
+    mask = ws / "vad" / f"{entries[0].utterance_id}.mask"
+    mask.unlink()
+    args = [command, "--manifest", str(manifest), "--config", str(cfg_path), "--out", str(ws)]
+    if command != "featurize":
+        args += ["--mode", "vowel-hlda"]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "accent-forge: data error:" in err and mask.name in err and "run vad" in err
+    assert "Traceback" not in err
+
+
 def test_hlda_failure_exits_2_without_traceback(shared_ws, tmp_path, monkeypatch, capsys):
-    manifest, _, features = shared_ws
-    ws = fresh_workspace(features, tmp_path)
+    manifest, _, prepared = shared_ws
+    ws = fresh_workspace(prepared, tmp_path)
     cfg_path = tmp_path / "ctx0.ini"
     cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
 

@@ -11,6 +11,7 @@ from accent_forge.vad import (
     _drop_short_runs,
     estimate_threshold,
     load_mask,
+    masked_speech,
     median_smooth,
     remove_silence,
     save_mask,
@@ -289,6 +290,51 @@ class TestWholeMatrixSteps:
         hop = mask.hop
         pieces = [x[i * hop: min(i * hop + hop, x.size)] for i in np.flatnonzero(mask.keep)]
         assert np.array_equal(speech.samples, np.concatenate(pieces))
+
+    @pytest.mark.parametrize("cfg", [VadConfig(), VadConfig(frame_len_ms=20, hop_ms=35)])
+    @pytest.mark.parametrize(
+        "length", ["half_frame", "one_frame", "one_frame_plus_one", "two_frames", "two_frames_plus_one", "long"]
+    )
+    @pytest.mark.parametrize("signal", ["speech", "zeros"])
+    def test_masked_speech_equals_remove_silence(self, cfg, length, signal):
+        # the speech a stored mask keeps is the speech remove_silence returned with it
+        audio = speech_plus_silence(speech_s=3, silence_s=2, seed=5)
+        fs = frame_signal(audio, cfg.frame_len_ms, cfg.hop_ms)
+        n = {
+            "half_frame": fs.frame_len // 2,
+            "one_frame": fs.frame_len,
+            "one_frame_plus_one": fs.frame_len + 1,
+            "two_frames": fs.frame_len + fs.hop,
+            "two_frames_plus_one": fs.frame_len + fs.hop + 1,
+            "long": audio.samples.size,
+        }[length]
+        x = audio.samples[:n] if signal == "speech" else np.zeros(n)
+        clip = AudioBuffer(x, audio.sample_rate)
+        speech, mask, _ = remove_silence(clip, cfg)
+        expected_frames = 1 if n < fs.frame_len else (n - fs.frame_len) // fs.hop + 1
+        assert mask.n_frames == expected_frames
+        kept = masked_speech(clip, mask)
+        assert kept.sample_rate == speech.sample_rate
+        assert kept.samples.dtype == speech.samples.dtype
+        assert kept.samples.tobytes() == speech.samples.tobytes()
+        # and both are the concatenated hop slices, or the whole clip below two frames
+        hop = mask.hop
+        pieces = [x[i * hop: min(i * hop + hop, n)] for i in np.flatnonzero(mask.keep)]
+        reference = x if mask.n_frames < 2 else np.concatenate([np.zeros(0), *pieces])
+        assert np.array_equal(kept.samples, reference)
+        if signal == "zeros" and mask.n_frames >= 2:
+            assert kept.samples.size == 0
+
+    @pytest.mark.parametrize("frame_len, hop", [(400, 200), (160, 280)])
+    def test_masked_speech_keeps_hop_slices_of_any_mask(self, frame_len, hop):
+        rng = np.random.default_rng(hop)
+        for n in (frame_len + hop, frame_len + hop + 1, 3000, 8123):
+            x = rng.standard_normal(n)
+            n_frames = (n - frame_len) // hop + 1
+            for keep in (np.ones(n_frames, bool), np.zeros(n_frames, bool), rng.random(n_frames) < 0.5):
+                kept = masked_speech(AudioBuffer(x, 8000), SpeechMask(keep, frame_len, hop, 8000))
+                pieces = [x[i * hop: min(i * hop + hop, n)] for i in np.flatnonzero(keep)]
+                assert np.array_equal(kept.samples, np.concatenate([np.zeros(0), *pieces]))
 
     @pytest.mark.parametrize("n", [0, 1, 399, 400, 401, 8000, 8123])
     def test_frame_signal_values_unchanged(self, n):
