@@ -91,20 +91,37 @@ class ClassificationResult:
 def train_baseline(
     train: dict[str, np.ndarray], n_components: int, opts: EmOptions | None = None
 ) -> AccentModelSet:
-    """Fit one mixture model per accent on that accent's pooled frames.
-
-    Each accent trains with a seed derived from the base seed and the accent
-    index, so results are reproducible and independent of training order.
-    """
-    opts = opts or EmOptions()
+    """Fit one mixture model per accent on that accent's pooled frames, through train_pools."""
     if not train:
         raise ValueError("no training accents supplied")
-    labels = list(train.keys())
+    labels = list(train)
+    models = train_pools({(lab,): X for lab, X in train.items()}, labels, n_components, opts)
+    return AccentModelSet(labels, {lab: models[(lab,)] for lab in labels})
+
+
+def train_pools(
+    pools: dict[tuple[str, ...], np.ndarray],
+    labels: list[str],
+    n_components: int,
+    opts: EmOptions | None = None,
+) -> dict[tuple[str, ...], GmmModel]:
+    """Fit one mixture model by EM on each pool of frames.
+
+    A pool's key is (accent,) or (accent, vowel). Its fit is seeded from the
+    base seed, the accent's index in labels and the vowel's index in VOWELS,
+    so results are reproducible and independent of the order of pools. A
+    pool with fewer frames than n_components gets one component per frame,
+    with a warning.
+    """
+    opts = opts or EmOptions()
     models = {}
-    for idx, lab in enumerate(labels):
-        accent_opts = replace(opts, seed=derive_seed(opts.seed, idx))
-        models[lab], _ = em_fit(train[lab], n_components, accent_opts)
-    return AccentModelSet(labels, models)
+    for key, X in pools.items():
+        n = min(n_components, X.shape[0]) or n_components  # em_fit rejects an empty pool
+        if n < n_components:
+            logger.warning("pool %s: only %d frames; capping components at %d", " ".join(key), X.shape[0], n)
+        parts = (labels.index(key[0]), *(VOWELS.index(v) for v in key[1:]))
+        models[key], _ = em_fit(X, n, replace(opts, seed=derive_seed(opts.seed, *parts)))
+    return models
 
 
 def classify_baseline(models: AccentModelSet, X) -> ClassificationResult:

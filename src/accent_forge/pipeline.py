@@ -29,11 +29,11 @@ from .accent import (
     _score_vowel,
     classify_baseline,
     classify_vowel,
-    derive_seed,
     load_model_set,
     save_model_set,
     select_vowel_subset,
     train_baseline,
+    train_pools,
     vowel_weights,
 )
 from .audio import frame_signal, load_audio
@@ -70,7 +70,6 @@ from .features import (
     read_feature_archive,
     write_feature_archive,
 )
-from .gmm import em_fit
 from .report import (
     EvaluationReport,
     VadReport,
@@ -243,13 +242,12 @@ class _Run:
             raise DataError(f"{path}: expected a single-utterance archive")
         return records[0]
 
-    def vowel_segments(self, entry: ManifestEntry, tau: float):
-        """The confidence-filtered vowel segments, remapped onto silence-removed time."""
+    def vowel_segments(self, entry: ManifestEntry):
+        """The alignment's segments, remapped onto silence-removed time."""
         utt = entry.utterance_id
         if not entry.alignment_path:
             raise DataError(f"{utt}: manifest has no alignment path (vowel mode needs one)")
         segments = parse_alignment(_resolve(self.manifest_dir, entry.alignment_path))
-        segments, _ = filter_by_confidence(segments, tau)
         _, mask = load_mask(self.root / "vad" / f"{utt}.mask")
         remap = vad_mask_to_alignment_time(mask)
         remapped = [remap.segment(s) for s in segments]
@@ -262,6 +260,8 @@ def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: st
         raise DataError(f"unknown {action} mode {mode!r}; expected one of {MODES}")
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
+    if not manifest.entries:
+        raise DataError(f"{manifest_path}: the manifest lists no utterance")
     root = Path(out_dir)
     fingerprint = config_fingerprint(cfg)
     _check_fingerprint(root / "vad", fingerprint, "speech masks")
@@ -374,9 +374,16 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
 
 
 def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
-    """Train one of the three model configurations and serialize it."""
+    """Train one of the three model configurations and serialize it.
+
+    One pass over the train utterances splits each one's model input into
+    row pools keyed (accent,), or (accent, vowel) in vowel-hlda mode.
+    """
     run = _open_run(manifest_path, cfg, out_dir, mode, "training")
     train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
+    empty = [lab for lab in run.labels if not any(a == lab and f.n_frames for a, f in train_feats)]
+    if empty:
+        raise DataError(f"no training frames for accents: {empty}")
     model_dir = run.root / f"models-{mode}"
     model_dir.mkdir(parents=True, exist_ok=True)
 
@@ -384,63 +391,45 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     if mode != "baseline-plp":
         transform = _workspace_transform(run, train_feats)
         save_transform(model_dir / "transform.lin", transform)
-    if mode == "vowel-hlda":
-        model_set = _train_vowel(run, train_feats, transform)
+    vowel = mode == "vowel-hlda"
+    blocks: dict[tuple[str, ...], list[np.ndarray]] = {}
+    for entry, (accent, feats) in zip(run.parts["train"], train_feats):
+        X = _model_input(feats, cfg, transform)
+        if vowel:
+            segments = run.vowel_segments(entry)
+            rows = {(accent, v): extract_vowel_frames(X, segments, v) for v in VOWELS}
+        else:
+            rows = {(accent,): X}
+        for key, f in rows.items():
+            if f.n_frames:
+                blocks.setdefault(key, []).append(f.values)
+    if vowel:
+        model_set = _train_vowel(run, blocks, transform)
     else:
-        pooled = _pool_by_accent(run.labels, train_feats, cfg, transform)
-        model_set = train_baseline(pooled, cfg.n_components, cfg.em)
+        pools = {lab: np.vstack(blocks[(lab,)]) for lab in run.labels}
+        model_set = train_baseline(pools, cfg.n_components, cfg.em)
     model_set.fingerprint = run.fingerprint
     model_set.transform_ref = None if transform is None else "transform.lin"
     save_model_set(model_dir, model_set)
     return model_dir
 
 
-def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelModelSet:
-    """Per-accent, per-vowel models on aligned vowel frames; subset, weights and τ from dev."""
+def _train_vowel(run: _Run, blocks, transform: LinearTransform) -> VowelModelSet:
+    """Per-accent, per-vowel models on the pooled vowel rows; subset, weights and τ from dev."""
     cfg, labels = run.cfg, run.labels
-    train_vowel_frames: dict[tuple[str, str], list[np.ndarray]] = {}
-    for entry, (accent, feats) in zip(run.parts["train"], train_feats):
-        projected = _model_input(feats, cfg, transform)
-        segments = run.vowel_segments(entry, float("-inf"))
-        for v in VOWELS:
-            rows = extract_vowel_frames(projected, segments, v)
-            if rows.n_frames:
-                train_vowel_frames.setdefault((accent, v), []).append(rows.values)
-
-    usable_vowels = [
-        v for v in VOWELS
-        if all((lab, v) in train_vowel_frames for lab in labels)
-    ]
+    usable_vowels = [v for v in VOWELS if all((lab, v) in blocks for lab in labels)]
     dropped = [v for v in VOWELS if v not in usable_vowels]
     if dropped:
         logger.warning("vowels without training frames in every accent: %s", " ".join(dropped))
     if not usable_vowels:
         raise DataError("no vowel has training frames in every accent")
-
-    models = {}
-    frame_counts: dict[str, int] = {v: 0 for v in usable_vowels}
-    for i, lab in enumerate(labels):
-        for v in usable_vowels:
-            X = np.vstack(train_vowel_frames[(lab, v)])
-            frame_counts[v] += X.shape[0]
-            n = min(cfg.n_components, X.shape[0])
-            if n < cfg.n_components:
-                logger.warning(
-                    "accent %s vowel %s: only %d frames; capping components at %d",
-                    lab, v, X.shape[0], n,
-                )
-            opts = replace(cfg.em, seed=derive_seed(cfg.em.seed, i, VOWELS.index(v)))
-            models[(lab, v)], _ = em_fit(X, n, opts)
-
-    all_vowel_set = VowelModelSet(
-        labels=labels,
-        subset=usable_vowels,
-        weights=vowel_weights(frame_counts, usable_vowels),
-        models=models,
-    )
+    pools = {(lab, v): np.vstack(blocks[(lab, v)]) for lab in labels for v in usable_vowels}
+    models = train_pools(pools, labels, cfg.n_components, cfg.em)
+    frame_counts = {v: sum(pools[(lab, v)].shape[0] for lab in labels) for v in usable_vowels}
+    all_vowel_set = VowelModelSet(labels, usable_vowels, vowel_weights(frame_counts, usable_vowels), models)
 
     dev = [
-        (e.accent, _model_input(run.features(e), cfg, transform), run.vowel_segments(e, float("-inf")))
+        (e.accent, _model_input(run.features(e), cfg, transform), run.vowel_segments(e))
         for e in run.parts["dev"]
     ]
     memo: dict = {}  # shared by selection and every τ grid point
@@ -455,18 +444,6 @@ def _train_vowel(run: _Run, train_feats, transform: LinearTransform) -> VowelMod
         all_vowel_set, subset=subset, weights=weights, confidence_tau=tau,
         models={(lab, v): models[(lab, v)] for lab in labels for v in subset},
     )
-
-
-def _pool_by_accent(labels, train_feats, cfg, transform) -> dict[str, np.ndarray]:
-    pooled: dict[str, list[np.ndarray]] = {lab: [] for lab in labels}
-    for accent, feats in train_feats:
-        processed = _model_input(feats, cfg, transform)
-        if processed.n_frames:
-            pooled[accent].append(processed.values)
-    empty = [lab for lab, blocks in pooled.items() if not blocks]
-    if empty:
-        raise DataError(f"no training frames for accents: {empty}")
-    return {lab: np.vstack(blocks) for lab, blocks in pooled.items()}
 
 
 def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
@@ -540,7 +517,8 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
             )
         feats = run.features(entry)
         # a missing or damaged alignment or mask is a data error, as in training
-        segments = run.vowel_segments(entry, model_set.confidence_tau) if vowel else None
+        if vowel:
+            segments, _ = filter_by_confidence(run.vowel_segments(entry), model_set.confidence_tau)
         try:
             X = _model_input(feats, cfg, transform)
             if vowel:

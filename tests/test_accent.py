@@ -60,6 +60,17 @@ class TestTrainBaseline:
         )
         assert gap > 5.0
 
+    def test_pools_seed_by_label_and_vowel_index_in_any_order(self, caplog):
+        rng = np.random.default_rng(4)
+        pools = {("A", "iy"): rng.standard_normal((50, 2)), ("B", "aa"): rng.standard_normal((3, 2))}
+        with caplog.at_level("WARNING", logger="accent_forge.accent"):
+            models = accent.train_pools(dict(reversed(pools.items())), ["A", "B"], 4, EmOptions(seed=9))
+        assert "B aa: only 3 frames; capping components at 3" in caplog.text
+        for (lab, v), X in pools.items():
+            seed = derive_seed(9, ["A", "B"].index(lab), VOWELS.index(v))
+            direct, _ = em_fit(X, min(4, len(X)), EmOptions(seed=seed))
+            assert np.array_equal(models[(lab, v)].means, direct.means)
+
     def test_many_components_high_dims(self):
         # large component count on wide features: floors hold, weights stay a simplex
         rng = np.random.default_rng(2)

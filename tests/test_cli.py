@@ -29,6 +29,7 @@ from accent_forge.corpus import (
     parse_alignment,
     parse_manifest,
     split_dataset,
+    vad_mask_to_alignment_time,
 )
 from accent_forge.discriminant import (
     LabeledFeatures,
@@ -39,6 +40,7 @@ from accent_forge.discriminant import (
 )
 from accent_forge.errors import ConsistencyError, DataError, UsageError
 from accent_forge.features import context_expand, read_feature_archive, write_feature_archive
+from accent_forge.gmm import em_fit
 from accent_forge.report import (
     EvaluationReport,
     format_eval_table,
@@ -1017,3 +1019,109 @@ def test_mutated_input_exits_2_or_3(hlda_trained, target, record_digest, mutatio
                        "--out", str(ws), "--mode", "baseline-hlda"])
         assert rc in expected, f"{target}: exit {rc}, expected {expected}: {err.getvalue()}"
         assert "Traceback" not in err.getvalue()
+
+
+def test_every_model_is_seeded_by_inventory_and_vowel_index(shared_ws, tmp_path):
+    """Each saved model is em_fit on its pool, seeded from the accent's index in
+    the manifest inventory and the vowel's index in VOWELS. The manifest puts
+    every B utterance before the first train utterance of A, the inventory's
+    first accent, so pools fill B first."""
+    manifest, cfg, prepared = shared_ws
+    parsed = parse_manifest(manifest)
+    first = [e for e in parsed.entries if e.accent == parsed.inventory[0]]
+    rest = [e for e in parsed.entries if e.accent != parsed.inventory[0]]
+    reordered = tmp_path / "manifest.tsv"
+    for r in range(len(first)):
+        rotated = first[r:] + first[:r]
+        entries = [rotated[0], *rest, *rotated[1:]]
+        reordered.write_text("".join(
+            f"{e.utterance_id}\t{manifest.parent / e.audio_path}\t{e.accent}\t"
+            f"{manifest.parent / e.alignment_path}\n" for e in entries
+        ))
+        _, train = split_ids(reordered, cfg, "train")
+        if train[0].accent != parsed.inventory[0]:
+            break
+    else:
+        pytest.fail("no ordering puts another accent's utterance first in the train split")
+    inventory = parse_manifest(reordered).inventory
+    assert inventory == parsed.inventory
+
+    ws = fresh_workspace(prepared, tmp_path)
+    for mode in ("baseline-plp", "vowel-hlda"):
+        pipeline.cmd_train(reordered, cfg, ws, mode)
+    transform = load_transform(ws / "models-vowel-hlda" / "transform.lin")
+    blocks = {}
+    for entry in train:
+        feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+        blocks.setdefault((entry.accent,), []).append(feats.values)
+        projected = discriminant.project(transform, context_expand(feats, cfg.context_size))
+        remap = vad_mask_to_alignment_time(vad.load_mask(ws / "vad" / f"{entry.utterance_id}.mask")[1])
+        segments = [remap.segment(s) for s in parse_alignment(entry.alignment_path)]
+        for v in VOWELS:
+            blocks.setdefault((entry.accent, v), []).append(
+                extract_vowel_frames(projected, [s for s in segments if s is not None], v).values
+            )
+
+    checked = 0
+    for mode in ("baseline-plp", "vowel-hlda"):
+        model_set = accent.load_model_set(ws / f"models-{mode}")
+        for key, model in model_set.models.items():
+            key = key if isinstance(key, tuple) else (key,)
+            pool = np.vstack(blocks[key])
+            parts = (inventory.index(key[0]), *(VOWELS.index(v) for v in key[1:]))
+            opts = replace(cfg.em, seed=accent.derive_seed(cfg.em.seed, *parts))
+            expected, _ = em_fit(pool, min(cfg.n_components, pool.shape[0]), opts)
+            for field in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(model, field), getattr(expected, field)), (mode, key)
+            checked += 1
+    assert checked == len(inventory) * (1 + len(model_set.subset))
+
+
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """Masks and features of 3 utterances per accent under 4096 components:
+    more than either accent's train split has frames."""
+    root = tmp_path_factory.mktemp("short")
+    cfg_path = root / "cfg.ini"
+    cfg_path.write_text(
+        FULL_CONFIG.replace("n_components = 4", "n_components = 4096")
+        .replace("utterances_per_accent = 6", "utterances_per_accent = 3")
+        .replace("duration_s = 5.0", "duration_s = 2.0")
+    )
+    assert main(["synthcorpus", "--config", str(cfg_path), "--out", str(root / "corpus")]) == 0
+    manifest = root / "corpus" / "manifest.tsv"
+    assert front_end(manifest, cfg_path, root / "work") == 0
+    return manifest, cfg_path, root / "work"
+
+
+def test_baseline_caps_components_at_pool_frames(short_corpus, caplog):
+    manifest, cfg_path, ws = short_corpus
+    caplog.clear()
+    assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                 "--out", str(ws), "--mode", "baseline-plp"]) == 0
+    capped = [r for r in caplog.records if r.levelname == "WARNING" and "capping" in r.getMessage()]
+    parsed, train = split_ids(manifest, load_config(cfg_path), "train")
+    assert len(capped) == len(parsed.inventory)
+    for lab in parsed.inventory:
+        frames = sum(
+            read_feature_archive(ws / "features" / f"{e.utterance_id}.feat")[0].n_frames
+            for e in train if e.accent == lab
+        )
+        assert 0 < frames < 4096
+        header = (ws / "models-baseline-plp" / "models" / f"{lab}.gmm").read_bytes().split(b"\n", 1)[0]
+        assert header.split()[1] == str(frames).encode("ascii")
+
+
+def test_empty_manifest_train_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(FULL_CONFIG)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("# id\taudio\taccent\talignment\n")
+    assert front_end(manifest, cfg_path, tmp_path / "w") == 0
+    for mode in pipeline.MODES:
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "w"), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "accent-forge: data error:" in err and "lists no utterance" in err
+        assert "Traceback" not in err
