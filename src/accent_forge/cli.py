@@ -70,7 +70,7 @@ def main(argv=None) -> int:
             model_dir = pipeline.cmd_train(args.manifest, cfg, args.out, args.mode)
             print(f"wrote model set: {model_dir}")
         elif args.command == "evaluate":
-            report = pipeline.cmd_evaluate(args.manifest, cfg, args.out, args.mode)
+            report = pipeline.cmd_evaluate(args.manifest, cfg, args.out, args.mode, allow_empty=False)
             print(f"overall accuracy: {report.overall_accuracy:.4f}")
     except UsageError as exc:
         print(f"accent-forge: usage error: {exc}", file=sys.stderr)

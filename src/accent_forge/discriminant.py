@@ -14,6 +14,10 @@ rank-one updates; a nuisance row's system is a multiple of the total
 covariance, inverted once per fit. This rounds differently from a dense
 inverse and solve per row; the tests hold the rows to 1e-7 of that naive
 scheme. The fit is deterministic.
+
+LDA and HLDA share one scatter pass; HLDA's LDA start reuses its statistics.
+Beside the rows it holds one class's rows at a time, then the centered rows,
+which are the rows themselves when the caller gives them up (overwrite_rows).
 """
 
 from __future__ import annotations
@@ -85,25 +89,33 @@ class LinearTransform:
         return self.matrix.shape[1]
 
 
-def scatter_matrices(data: LabeledFeatures) -> tuple[np.ndarray, np.ndarray]:
-    """Between-class (total-deviation) and within-class scatter matrices.
+def _scatter_stats(data: LabeledFeatures, overwrite_rows: bool = False):
+    """One pass over the rows: class covariances (C, M, M), between and within scatter.
 
-    The between matrix averages outer products of deviations from the global
-    mean over all K rows; the within matrix sums per-class deviations and
-    divides by the class count S. Both come back exactly symmetric.
+    The between matrix averages deviation products over all K rows, so it is
+    also the total covariance; the within matrix sums the classes' products
+    over their count S. All are exactly symmetric; overwrite_rows centers data.X.
     """
     X = data.X
-    global_mean = X.mean(axis=0)
-    centered = X - global_mean
-    s_b = (centered.T @ centered) / data.n_rows
-
+    products = np.empty((data.classes.size, data.dims, data.dims))
     s_w = np.zeros((data.dims, data.dims))
-    for cls in data.classes:
-        rows = X[data.labels == cls]
-        d = rows - rows.mean(axis=0)
-        s_w += d.T @ d
+    for i, cls in enumerate(data.classes):
+        d = X[data.labels == cls]
+        d -= d.mean(axis=0)
+        products[i] = d.T @ d
+        s_w += products[i]
+        del d  # so two classes' rows are never held at once
     s_w /= data.classes.size
-    return 0.5 * (s_b + s_b.T), 0.5 * (s_w + s_w.T)
+    centered = np.subtract(X, X.mean(axis=0), out=X if overwrite_rows else None)
+    s_b = (centered.T @ centered) / data.n_rows
+    covs = products / data.class_counts[:, None, None]
+    return tuple(0.5 * (a + a.swapaxes(-1, -2)) for a in (covs, s_b, s_w))
+
+
+def scatter_matrices(data: LabeledFeatures) -> tuple[np.ndarray, np.ndarray]:
+    """Between-class (total-deviation) and within-class scatter matrices."""
+    _, s_b, s_w = _scatter_stats(data)
+    return s_b, s_w
 
 
 def _ensure_spd(mat: np.ndarray, what: str) -> np.ndarray:
@@ -134,35 +146,26 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def lda_fit(data: LabeledFeatures, m: int) -> LinearTransform:
+def lda_fit(data: LabeledFeatures, m: int, overwrite_rows: bool = False) -> LinearTransform:
     """Top-m discriminant directions of within-scatter-inverse times between-scatter.
 
     Rows are ordered by descending eigenvalue, normalized so w' S_W w = 1,
     and sign-fixed so the first non-negligible entry is positive.
+    overwrite_rows lets the fit center data.X in place instead of copying it.
     """
-    import scipy.linalg  # not at the top: it takes half a second to import
-
     if not 1 <= m <= data.dims:
         raise ValueError(f"target dims {m} out of range 1..{data.dims}")
-    s_b, s_w = scatter_matrices(data)
+    _, s_b, s_w = _scatter_stats(data, overwrite_rows)
+    return _lda(s_b, s_w, m)
+
+
+def _lda(s_b: np.ndarray, s_w: np.ndarray, m: int) -> LinearTransform:
+    import scipy.linalg  # not at the top: it takes half a second to import
+
     s_w = _ensure_spd(s_w, "within-class scatter")
     eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)
     order = np.argsort(-eigvals, kind="stable")[:m]
-    rows = eigvecs[:, order].T
-    return LinearTransform("lda", _fix_signs(rows), m)
-
-
-def _class_stats(data: LabeledFeatures):
-    """Per-class and global covariance (population normalization), plus counts."""
-    covs = []
-    for cls in data.classes:
-        rows = data.X[data.labels == cls]
-        d = rows - rows.mean(axis=0)
-        cov = (d.T @ d) / rows.shape[0]
-        covs.append(0.5 * (cov + cov.T))
-    d = data.X - data.X.mean(axis=0)
-    total = (d.T @ d) / data.n_rows
-    return covs, 0.5 * (total + total.T), data.class_counts
+    return LinearTransform("lda", _fix_signs(eigvecs[:, order].T), m)
 
 
 def _variances(rows, covs) -> np.ndarray:
@@ -258,6 +261,7 @@ def hlda_fit(
     m: int,
     max_iters: int = HLDA_MAX_ITERS,
     rel_tol: float = HLDA_REL_TOL,
+    overwrite_rows: bool = False,
 ) -> tuple[LinearTransform, list[float]]:
     """Maximum-likelihood heteroscedastic discriminant transform.
 
@@ -268,32 +272,25 @@ def hlda_fit(
     a nuisance one, so the initial partition must already be the profitable
     one). A restart from the identity happens once if the transform
     degenerates; a DataError if that fails too. Stopping at max_iters
-    without converging logs a warning.
+    without converging logs a warning. overwrite_rows is as for lda_fit.
     """
     if not 1 <= m < data.dims:
         raise ValueError(f"retained dims {m} must lie in 1..{data.dims - 1}")
-    covs, total_cov, counts = _class_stats(data)
+    covs, s_b, s_w = _scatter_stats(data, overwrite_rows)
     covs = np.stack([_ensure_spd(c, "class covariance") for c in covs])
-    total_cov = _ensure_spd(total_cov, "total covariance")
+    total_cov = _ensure_spd(s_b, "total covariance")
+    n, counts = data.n_rows, data.class_counts
 
-    start = _order_rows_by_class_gain(
-        lda_fit(data, data.dims).matrix, covs, total_cov, counts, data.n_rows
-    )
+    start = _order_rows_by_class_gain(_lda(s_b, s_w, data.dims).matrix, covs, total_cov, counts, n)
     try:
-        a, trace = _hlda_optimize(start, covs, total_cov, counts, m, data.n_rows, max_iters, rel_tol)
+        a, trace = _hlda_optimize(start, covs, total_cov, counts, m, n, max_iters, rel_tol)
     except np.linalg.LinAlgError:
         logger.warning("transform degenerated; restarting from identity")
         try:
-            restart = _order_rows_by_class_gain(
-                np.eye(data.dims), covs, total_cov, counts, data.n_rows
-            )
-            a, trace = _hlda_optimize(
-                restart, covs, total_cov, counts, m, data.n_rows, max_iters, rel_tol
-            )
+            restart = _order_rows_by_class_gain(np.eye(data.dims), covs, total_cov, counts, n)
+            a, trace = _hlda_optimize(restart, covs, total_cov, counts, m, n, max_iters, rel_tol)
         except np.linalg.LinAlgError as exc:
-            raise DataError(
-                f"HLDA failed from both starts (dims={data.dims}, m={m}): {exc}"
-            ) from None
+            raise DataError(f"HLDA failed from both starts (dims={data.dims}, m={m}): {exc}") from None
     if not hlda_converged(trace, rel_tol):
         step = (trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) >= 2 else float("nan")
         logger.warning(

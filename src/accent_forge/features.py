@@ -252,24 +252,22 @@ def apply_mvn(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
     return (values - mean) / safe
 
 
-def context_expand(f: FeatureMatrix, context: int) -> FeatureMatrix:
+def context_expand(f: FeatureMatrix, context: int, out: np.ndarray | None = None) -> FeatureMatrix:
     """Concatenate each frame with its context left and right neighbors.
 
     Neighbors beyond the edges are replicated; context=0 is the identity.
+    The expansion is written into out, an (n_frames, dims * (2 * context + 1))
+    float64 array, when one is given, and into a new array otherwise.
     """
     if context < 0:
         raise ValueError("context must be >= 0")
-    if context == 0:
-        return f.with_values(f.values.copy())
-    t = f.n_frames
-    if t == 0:
-        return f.with_values(np.zeros((0, f.dims * (2 * context + 1))))
-    blocks = []
+    t, d = f.n_frames, f.dims
+    if out is None:
+        out = np.empty((t, d * (2 * context + 1)))
     base = np.arange(t)
-    for offset in range(-context, context + 1):
-        idx = np.clip(base + offset, 0, t - 1)
-        blocks.append(f.values[idx])
-    return f.with_values(np.hstack(blocks))
+    for k, offset in enumerate(range(-context, context + 1)):
+        out[:, k * d:(k + 1) * d] = f.values[np.clip(base + offset, 0, t - 1)]
+    return f.with_values(out)
 
 
 FEATURE_MAGIC = "ACFEAT1"

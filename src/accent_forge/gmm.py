@@ -271,6 +271,8 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     opts = opts or EmOptions()
     X = _as_matrix(X)
     n_frames, dims = X.shape
+    if n_components < 1:
+        raise ValueError(f"n_components must be at least 1, got {n_components}")
     if n_frames < n_components:
         raise ValueError(f"{n_frames} frames cannot support {n_components} components")
     if not np.all(np.isfinite(X)):

@@ -286,22 +286,20 @@ def _fit_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]) -> t
 
     Returns the transform and the fit's record: its kind, and for HLDA the
     sweep count, the final objective and whether the last sweep converged.
+    Each utterance is expanded into its rows of one matrix, which the fit centers in place.
     """
     cfg = run.cfg
     label_index = {lab: i for i, lab in enumerate(run.labels)}
-    blocks = []
-    block_labels = []
-    for accent, feats in train_feats:
-        expanded = context_expand(feats, cfg.context_size)
-        if expanded.n_frames == 0:
-            continue
-        blocks.append(expanded.values)
-        block_labels.append(np.full(expanded.n_frames, label_index[accent], dtype=np.intp))
-    data = LabeledFeatures(np.vstack(blocks), np.concatenate(block_labels))
+    usable = [(label_index[accent], feats) for accent, feats in train_feats if feats.n_frames]
+    bounds = np.cumsum([0] + [feats.n_frames for _, feats in usable])
+    X = np.empty((bounds[-1], usable[0][1].dims * (2 * cfg.context_size + 1)))
+    for (_, feats), lo, hi in zip(usable, bounds, bounds[1:]):
+        context_expand(feats, cfg.context_size, out=X[lo:hi])
+    data = LabeledFeatures(X, np.repeat([label for label, _ in usable], np.diff(bounds)))
     if cfg.transform == "lda":
         record = {"kind": "lda", "sweeps": None, "objective": None, "converged": None}
-        return lda_fit(data, cfg.reduced_dim), record
-    transform, trace = hlda_fit(data, cfg.reduced_dim)
+        return lda_fit(data, cfg.reduced_dim, overwrite_rows=True), record
+    transform, trace = hlda_fit(data, cfg.reduced_dim, overwrite_rows=True)
     record = {
         "kind": "hlda",
         "sweeps": len(trace) - 1,
@@ -343,7 +341,7 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
     for entry, (accent, feats) in zip(run.parts["train"], train_feats):
         values = np.ascontiguousarray(feats.values, dtype="<f8")
         digest.update(json.dumps([entry.utterance_id, accent, *values.shape]).encode("utf-8") + b"\n")
-        digest.update(values.tobytes())
+        digest.update(values)  # through the buffer protocol: no copy
     key = digest.hexdigest()
 
     cache = run.root / "transform"
@@ -492,8 +490,9 @@ def _tune_confidence_threshold(dev, model_set, subset, weights, cfg, memo: dict)
     ))
 
 
-def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> EvaluationReport:
-    """Classify the test split and write the accuracy/confusion report."""
+def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_empty=True) -> EvaluationReport:
+    """Classify the test split and write the accuracy/confusion report; unless allow_empty,
+    a split with no classified utterance is a DataError and no report is written."""
     run = _open_run(manifest_path, cfg, out_dir, mode, "evaluation")
     model_dir = run.root / f"models-{mode}"
     model_set = load_model_set(model_dir)
@@ -531,6 +530,9 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Eval
             skipped += 1
             continue
         confusion[index[entry.accent], index[result.predicted]] += 1
+    if not (allow_empty or confusion.any()):
+        n_test = len(run.parts["test"])
+        raise DataError(f"no test utterance was classified ({n_test} in the test split, {skipped} skipped)")
 
     report = EvaluationReport(
         labels=labels,

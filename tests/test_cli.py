@@ -660,6 +660,15 @@ class TestSharedTransform:
         assert record["converged"] is hlda_converged(trace)
         assert record["transform_sha256"] == hashlib.sha256(expected).hexdigest()
         assert len(record["key"]) == 64
+        # the key as first defined, hashing a byte copy of each train matrix
+        parsed, train = split_ids(manifest, cfg, "train")
+        head = [pipeline.TRANSFORM_CACHE_FORMAT, config_fingerprint(cfg), parsed.inventory]
+        digest = hashlib.sha256(json.dumps(head).encode("utf-8") + b"\n")
+        for entry in train:
+            values = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0].values
+            digest.update(json.dumps([entry.utterance_id, entry.accent, *values.shape]).encode("utf-8") + b"\n")
+            digest.update(values.astype("<f8").tobytes())
+        assert record["key"] == digest.hexdigest()
 
     @pytest.mark.parametrize(
         "change",
@@ -1125,3 +1134,59 @@ def test_empty_manifest_train_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "accent-forge: data error:" in err and "lists no utterance" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def no_test_split(tmp_path_factory):
+    """Masks and features of 4 utterances for each of 3 accents, which
+    split_dataset splits 3/1/0: the test split is empty."""
+    root = tmp_path_factory.mktemp("notest")
+    cfg_path = root / "cfg.ini"
+    cfg_path.write_text(
+        FULL_CONFIG.replace("accents = A B", "accents = A B C")
+        .replace("utterances_per_accent = 6", "utterances_per_accent = 4")
+        .replace("duration_s = 5.0", "duration_s = 2.0")
+    )
+    assert main(["synthcorpus", "--config", str(cfg_path), "--out", str(root / "corpus")]) == 0
+    manifest = root / "corpus" / "manifest.tsv"
+    assert front_end(manifest, cfg_path, root / "work") == 0
+    return manifest, cfg_path, root / "work"
+
+
+def evaluate_exits_2_without_report(manifest, cfg_path, ws, capsys):
+    args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(ws), "--mode", "baseline-plp"]
+    assert main(["train", *args]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 2
+    err = capsys.readouterr().err
+    assert "accent-forge: data error:" in err and "no test utterance was classified" in err
+    assert "Traceback" not in err
+    assert not list((ws / "reports").glob("eval-*"))
+    return err
+
+
+def test_evaluate_on_empty_test_split_exits_2(no_test_split, capsys):
+    manifest, cfg_path, ws = no_test_split
+    cfg = load_config(cfg_path)
+    parsed = parse_manifest(manifest)
+    counts = [len(split_ids(manifest, cfg, tag)[1]) for tag in ("train", "dev", "test")]
+    assert len(parsed.inventory) == 3 and counts == [9, 3, 0]
+    assert "(0 in the test split, 0 skipped)" in evaluate_exits_2_without_report(manifest, cfg_path, ws, capsys)
+    # in process, by default, the empty split still gives a 0-utterance report
+    assert pipeline.cmd_evaluate(manifest, cfg, ws, "baseline-plp").utterances == 0
+    with pytest.raises(DataError, match="no test utterance was classified"):
+        pipeline.cmd_evaluate(manifest, cfg, ws, "baseline-plp", allow_empty=False)
+
+
+def test_evaluate_with_every_test_utterance_skipped_exits_2(shared_ws, tmp_path, monkeypatch, capsys):
+    manifest, cfg, prepared = shared_ws
+    ws = fresh_workspace(prepared, tmp_path)
+
+    def unclassifiable(model_set, X):
+        raise DataError("no frames")
+
+    monkeypatch.setattr(pipeline, "classify_baseline", unclassifiable)
+    n_test = len(split_ids(manifest, cfg, "test")[1])
+    assert n_test > 0
+    err = evaluate_exits_2_without_report(manifest, prepared.parent / "ctx0.ini", ws, capsys)
+    assert f"({n_test} in the test split, {n_test} skipped)" in err

@@ -1,10 +1,13 @@
 import logging
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from accent_forge import discriminant
+from accent_forge import discriminant, pipeline
+from accent_forge.config import default_config
 from accent_forge.discriminant import (
     LabeledFeatures,
     LinearTransform,
@@ -294,8 +297,8 @@ def random_labeled(seed):
 
 def hlda_inputs(data):
     """The covariances, counts and gain-ordered LDA start that hlda_fit builds."""
-    covs, total_cov, counts = discriminant._class_stats(data)
-    covs = np.stack(covs)
+    covs, total_cov, _ = discriminant._scatter_stats(data)
+    counts = data.class_counts
     start = discriminant._order_rows_by_class_gain(
         lda_fit(data, data.dims).matrix, covs, total_cov, counts, data.n_rows
     )
@@ -476,3 +479,190 @@ def test_transform_round_trip(tmp_path):
 def test_labeled_features_validation():
     with pytest.raises(ValueError):
         LabeledFeatures(np.zeros((3, 2)), np.array([0, 0, 1]))  # class 1 has one row
+
+
+# The stacking and scatter formulas as first written: per-utterance blocks
+# joined by np.vstack, deviations as X - mean, two copies per class, and an
+# HLDA that recomputes every product for its LDA start. The fit now builds
+# one preallocated matrix, centers it in place and shares one scatter pass;
+# every byte must agree.
+
+
+def first_context_expand(values, context):
+    if context == 0:
+        return values.copy()
+    t = values.shape[0]
+    if t == 0:
+        return np.zeros((0, values.shape[1] * (2 * context + 1)))
+    base = np.arange(t)
+    return np.hstack([values[np.clip(base + o, 0, t - 1)] for o in range(-context, context + 1)])
+
+
+def first_stack(train_feats, inventory, context):
+    blocks, labels = [], []
+    for accent, feats in train_feats:
+        expanded = first_context_expand(feats.values, context)
+        if expanded.shape[0] == 0:
+            continue
+        blocks.append(expanded)
+        labels.append(np.full(expanded.shape[0], inventory.index(accent), dtype=np.intp))
+    return np.vstack(blocks), np.concatenate(labels)
+
+
+def first_scatter_matrices(data):
+    X = data.X
+    centered = X - X.mean(axis=0)
+    s_b = (centered.T @ centered) / data.n_rows
+    s_w = np.zeros((data.dims, data.dims))
+    for cls in data.classes:
+        rows = X[data.labels == cls]
+        d = rows - rows.mean(axis=0)
+        s_w += d.T @ d
+    s_w /= data.classes.size
+    return 0.5 * (s_b + s_b.T), 0.5 * (s_w + s_w.T)
+
+
+def first_class_stats(data):
+    covs = []
+    for cls in data.classes:
+        rows = data.X[data.labels == cls]
+        d = rows - rows.mean(axis=0)
+        cov = (d.T @ d) / rows.shape[0]
+        covs.append(0.5 * (cov + cov.T))
+    d = data.X - data.X.mean(axis=0)
+    total = (d.T @ d) / data.n_rows
+    return covs, 0.5 * (total + total.T), data.class_counts
+
+
+def first_lda_fit(data, m):
+    s_b, s_w = first_scatter_matrices(data)
+    s_w = discriminant._ensure_spd(s_w, "within-class scatter")
+    eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)
+    order = np.argsort(-eigvals, kind="stable")[:m]
+    return discriminant._fix_signs(eigvecs[:, order].T)
+
+
+def first_hlda_fit(data, m, max_iters):
+    covs, total_cov, counts = first_class_stats(data)
+    covs = np.stack([discriminant._ensure_spd(c, "class covariance") for c in covs])
+    total_cov = discriminant._ensure_spd(total_cov, "total covariance")
+    start = discriminant._order_rows_by_class_gain(
+        first_lda_fit(data, data.dims), covs, total_cov, counts, data.n_rows
+    )
+    a, trace = discriminant._hlda_optimize(
+        start, covs, total_cov, counts, m, data.n_rows, max_iters, discriminant.HLDA_REL_TOL
+    )
+    return discriminant._fix_signs(a), trace
+
+
+def accent_utterances(seed, dims=6):
+    """Seven utterances over three accents, one of them without frames."""
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 2.0, (3, dims))
+    offsets = rng.uniform(-1.0, 1.0, (3, dims))
+    out = []
+    for i, accent in enumerate("BACABCA"):
+        k = "ABC".index(accent)
+        frames = 0 if i == 3 else int(rng.integers(60, 90))
+        values = rng.standard_normal((frames, dims)) @ rng.standard_normal((dims, dims)) * scales[k]
+        out.append((accent, FeatureMatrix(values + offsets[k], f"u{i}")))
+    return out
+
+
+def capture_fit_input(monkeypatch, name):
+    """Wrap pipeline.<name> so each call's data and a copy of its rows are recorded."""
+    seen = []
+    real = getattr(pipeline, name)
+
+    def recording(data, *args, **kwargs):
+        seen.append((data, data.X.copy()))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, recording)
+    return seen
+
+
+class TestOnePassFit:
+    @pytest.mark.parametrize("context", [0, 2])
+    @pytest.mark.parametrize("kind", ["lda", "hlda"])
+    def test_fit_matches_first_formulas_bytewise(self, monkeypatch, context, kind):
+        train_feats = accent_utterances(40 + context)
+        cfg = replace(default_config(), context_size=context, transform=kind, reduced_dim=3)
+        run = pipeline._Run(cfg, None, None, ["A", "B", "C"], {}, "")
+        seen = capture_fit_input(monkeypatch, f"{kind}_fit")
+        transform, record = pipeline._fit_transform(run, train_feats)
+
+        X, labels = first_stack(train_feats, run.labels, context)
+        [(data, rows)] = seen
+        assert rows.tobytes() == X.tobytes() and rows.shape == X.shape
+        assert data.labels.tobytes() == labels.tobytes()
+        assert np.array_equal(data.X, rows - rows.mean(axis=0))  # centered in place
+        data = LabeledFeatures(rows, data.labels)
+        first = LabeledFeatures(X, labels)
+        for new, old in zip(scatter_matrices(data), first_scatter_matrices(first)):
+            assert new.tobytes() == old.tobytes()
+        covs, total_cov, _ = discriminant._scatter_stats(data)
+        old_covs, old_total, _ = first_class_stats(first)
+        assert covs.tobytes() == np.stack(old_covs).tobytes()
+        assert total_cov.tobytes() == old_total.tobytes()
+        if kind == "lda":
+            assert transform.matrix.tobytes() == first_lda_fit(first, 3).tobytes()
+        else:
+            matrix, trace = first_hlda_fit(first, 3, discriminant.HLDA_MAX_ITERS)
+            assert transform.matrix.tobytes() == matrix.tobytes()
+            assert record["objective"] == trace[-1] and record["sweeps"] == len(trace) - 1
+
+    @pytest.mark.parametrize("kind", ["lda", "hlda"])
+    def test_rows_are_overwritten_only_when_given_up(self, kind):
+        data, M = random_labeled(78)
+        rows = data.X.copy()
+        fit = lda_fit if kind == "lda" else hlda_fit
+        kept = fit(data, max(1, M // 2))
+        assert data.X.tobytes() == rows.tobytes()
+        given_up = fit(data, max(1, M // 2), overwrite_rows=True)
+        assert np.array_equal(data.X, rows - rows.mean(axis=0))
+        if kind == "hlda":
+            (kept, kept_trace), (given_up, trace) = kept, given_up
+            assert kept_trace == trace
+        assert kept.matrix.tobytes() == given_up.matrix.tobytes()
+
+    def test_hlda_makes_one_data_pass(self, monkeypatch):
+        data, M = random_labeled(77)
+        passes = []
+        real = discriminant._scatter_stats
+
+        def counting(d, *args):
+            passes.append(d)
+            return real(d, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hlda_fit read the rows a second time")
+
+        monkeypatch.setattr(discriminant, "_scatter_stats", counting)
+        monkeypatch.setattr(discriminant, "scatter_matrices", forbidden)
+        monkeypatch.setattr(discriminant, "lda_fit", forbidden)
+        hlda_fit(data, max(1, M // 2), max_iters=3)
+        assert passes == [data]
+
+    @pytest.mark.parametrize("kind", ["lda", "hlda"])
+    def test_fit_holds_no_full_size_temporary_beside_the_rows(self, monkeypatch, kind):
+        """3 x 8,000 frames of 39 dims, context 1: the 117-dim rows, centered
+        in place, plus one class's copy of its rows, and little else."""
+        rng = np.random.default_rng(8000)
+        train_feats = [
+            (accent, FeatureMatrix(rng.standard_normal((8000, 39)) * rng.uniform(0.5, 2.0, 39), accent))
+            for accent in "ABC"
+        ]
+        cfg = replace(default_config(), context_size=1, transform=kind, reduced_dim=20)
+        run = pipeline._Run(cfg, None, None, ["A", "B", "C"], {}, "")
+        # two sweeps keep the test short; the sweeps never touch the rows
+        monkeypatch.setattr(pipeline, "hlda_fit", lambda *a, **kw: hlda_fit(*a, **kw, max_iters=2))
+        stacked_bytes = 3 * 8000 * 117 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pipeline._fit_transform(run, train_feats)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stacked_bytes <= peak <= 1.5 * stacked_bytes

@@ -224,6 +224,12 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(np.zeros((3, 2)), 4, EmOptions())
 
+    @pytest.mark.parametrize("n_components", [0, -1])
+    def test_component_count_below_one_rejected(self, n_components):
+        X = np.random.default_rng(5).standard_normal((5, 2))
+        with pytest.raises(ValueError, match=f"n_components must be at least 1, got {n_components}"):
+            em_fit(X, n_components, EmOptions())
+
     def test_trace_matches_final_model(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((60, 2))
