@@ -17,7 +17,8 @@ import numpy as np
 
 from .corpus import VOWELS
 from .errors import ConsistencyError, DataError
-from .gmm import EmOptions, GmmModel, as_values, em_fit, load_gmm, mixture_log_likelihood, save_gmm
+from .gmm import (EmOptions, GmmModel, PreparedFrames, as_values, em_fit, load_gmm, mixture_log_likelihood,
+                  save_gmm)
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +130,8 @@ def classify_baseline(models: AccentModelSet, X) -> ClassificationResult:
     values = as_values(X)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError("cannot classify an empty feature matrix")
-    scores = {lab: mixture_log_likelihood(models.models[lab], values) for lab in models.labels}
+    frames = PreparedFrames(values)
+    scores = {lab: mixture_log_likelihood(models.models[lab], frames) for lab in models.labels}
     return ClassificationResult(_best_label(models.labels, scores), scores, values.shape[0])
 
 
@@ -158,7 +160,8 @@ def _score_vowel(models: VowelModelSet, v: str, X) -> tuple[int, dict[str, float
     values = as_values(X)
     if values.ndim != 2 or values.shape[0] == 0:
         return None
-    totals = {lab: mixture_log_likelihood(models.models[(lab, v)], values) for lab in models.labels}
+    frames = PreparedFrames(values)
+    totals = {lab: mixture_log_likelihood(models.models[(lab, v)], frames) for lab in models.labels}
     return values.shape[0], totals
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import DataError
@@ -115,7 +116,9 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
             if key not in _SCHEMA[section]:
                 raise DataError(f"{path}: unknown key {key!r} in section [{section}]")
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                values[section][key] = value = _SCHEMA[section][key](raw)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"not a finite number: {raw.strip()!r}")
             except ValueError as exc:
                 raise DataError(f"{path}: bad value for [{section}] {key}: {exc}")
 

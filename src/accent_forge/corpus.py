@@ -174,6 +174,8 @@ def parse_alignment(path) -> list[AlignmentSegment]:
             confidence = float(fields[3]) if len(fields) == 4 else None
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric field in: {line!r}")
+        if not np.isfinite([start, end, 0.0 if confidence is None else confidence]).all():
+            raise DataError(f"{path}:{lineno}: non-finite field in: {line!r}")
         if end <= start or start < 0:
             raise DataError(f"{path}:{lineno}: segment end must exceed start: {line!r}")
         phone = _strip_stress(fields[2].lower())

@@ -264,9 +264,13 @@ def context_expand(f: FeatureMatrix, context: int, out: np.ndarray | None = None
     t, d = f.n_frames, f.dims
     if out is None:
         out = np.empty((t, d * (2 * context + 1)))
-    base = np.arange(t)
     for k, offset in enumerate(range(-context, context + 1)):
-        out[:, k * d:(k + 1) * d] = f.values[np.clip(base + offset, 0, t - 1)]
+        # rows [lo, hi) read row + offset; the rows before and after repeat an edge row
+        block = out[:, k * d:(k + 1) * d]
+        lo, hi = min(max(-offset, 0), t), max(min(t - offset, t), 0)
+        block[lo:hi] = f.values[lo + offset:hi + offset]
+        block[:lo] = f.values[:1]
+        block[hi:] = f.values[-1:]
     return f.with_values(out)
 
 

@@ -3,6 +3,13 @@
 Scoring runs in the log domain throughout. The per-frame mixture term sums
 exponentials in ascending order after a max shift, which keeps results
 independent of component ordering bit for bit.
+
+Each model derives its scoring terms once, when built: (prec/2)^T, (mu*prec)^T,
+sum(mu^2*prec)/2, log_norm and log w. Scoring is two GEMMs and four passes:
+X^2 @ (prec/2)^T, minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all
+that, plus log w. This equals the textbook form, which halves at the end, bit for bit:
+scaling by a power of two commutes with every rounding, the GEMM's FMAs included,
+outside the subnormal range.
 """
 
 from __future__ import annotations
@@ -20,18 +27,18 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 MIN_VARIANCE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
-    """Mixture weights, means, and per-dimension variances (one row per component)."""
+    """Mixture weights, means, and per-dimension variances (one row per component),
+    kept as read-only copies whose scoring terms are derived once."""
 
     weights: np.ndarray  # (n_components,)
     means: np.ndarray  # (n_components, dims)
     variances: np.ndarray  # (n_components, dims)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
         if self.means.shape != self.variances.shape or self.weights.ndim != 1:
             raise ValueError("inconsistent parameter shapes")
         if self.weights.size != self.means.shape[0]:
@@ -43,6 +50,14 @@ class GmmModel:
         for arr in (self.weights, self.means, self.variances):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
+        prec = 1.0 / self.variances
+        with np.errstate(divide="ignore"):  # a zero weight scores as log 0 = -inf
+            log_weights = np.log(self.weights)
+        terms = (0.5 * prec, self.means * prec, 0.5 * (self.means * self.means * prec).sum(axis=1),
+                 -0.5 * (self.dims * LOG_2PI + np.log(self.variances).sum(axis=1)), log_weights)
+        for arr in (self.weights, self.means, self.variances, *terms):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_terms", (terms[0].T, terms[1].T, *terms[2:]))
 
     @property
     def n_components(self) -> int:
@@ -84,34 +99,50 @@ def _as_matrix(x) -> np.ndarray:
 EXP_ZERO_BELOW = -746.0
 
 
+class PreparedFrames:
+    """Frames scored against several models: X, X * X and the (N, K) work
+    buffers, made once and shared by every model with K components."""
+
+    def __init__(self, X):
+        self.values = _as_matrix(X)
+        self.squares = self.values * self.values
+        self._buffers = {}
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+    def buffers(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if k not in self._buffers:
+            shape = (self.values.shape[0], k)
+            self._buffers[k] = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        return self._buffers[k]
+
+
 def _log_joint(model: GmmModel, X: np.ndarray, x_sq: np.ndarray, out: np.ndarray,
                work: np.ndarray) -> np.ndarray:
     """log w_k + log N(x_n; mu_k, var_k) into out, shape (N, K); x_sq is X * X.
 
-    Evaluated in place as log_norm - 0.5 * (x_sq @ prec.T - 2 * (X @ (mu * prec).T)
-    + sum(mu * mu * prec)) + log w, one operation at a time in that order, so
-    the bits equal the expression's; work is an (N, K) scratch buffer.
+    Evaluated in place from the model's terms, one pass at a time in the order
+    the module docstring gives; work is an (N, K) scratch buffer.
     """
     if X.shape[1] != model.dims:
         raise ValueError(f"feature dims {X.shape[1]} do not match model dims {model.dims}")
-    prec = 1.0 / model.variances
-    log_norm = -0.5 * (model.dims * LOG_2PI + np.log(model.variances).sum(axis=1))
-    np.matmul(x_sq, prec.T, out=out)
-    np.matmul(X, (model.means * prec).T, out=work)
-    work *= 2.0
-    out -= work
-    out += (model.means * model.means * prec).sum(axis=1)
-    out *= 0.5
+    half_prec_t, mu_prec_t, half_sq_sum, log_norm, log_weights = model._terms
+    np.matmul(x_sq, half_prec_t, out=out)
+    out -= np.matmul(X, mu_prec_t, out=work)
+    out += half_sq_sum
     np.subtract(log_norm, out, out=out)
-    out += np.log(model.weights)
+    out += log_weights
     return out
 
 
 def _exp_in_place(a: np.ndarray, below: np.ndarray) -> np.ndarray:
     """np.exp(a) into a, bit for bit, without handing np.exp the arguments
     whose result is exactly 0 (numpy's slow underflow path); below is a bool
-    scratch array of a's shape."""
-    np.less(a, EXP_ZERO_BELOW, out=below)
+    scratch array of a's shape. The masking passes run only when some
+    argument is that small."""
+    if not np.less(a, EXP_ZERO_BELOW, out=below).any():
+        return np.exp(a, out=a)
     np.putmask(a, below, 0.0)
     np.exp(a, out=a)
     np.putmask(a, below, 0.0)
@@ -132,17 +163,16 @@ def _logsumexp_rows(z: np.ndarray, work: np.ndarray, below: np.ndarray) -> np.nd
 
 
 def frame_log_likelihoods(model: GmmModel, X) -> np.ndarray:
-    """Per-frame log mixture densities, shape (N,)."""
-    X = _as_matrix(X)
-    shape = (X.shape[0], model.n_components)
-    log_joint, work = np.empty(shape), np.empty(shape)
-    _log_joint(model, X, X * X, log_joint, work)
-    return _logsumexp_rows(log_joint, work, np.empty(shape, dtype=bool))
+    """Per-frame log mixture densities, shape (N,); X may be PreparedFrames."""
+    frames = X if isinstance(X, PreparedFrames) else PreparedFrames(X)
+    log_joint, work, below = frames.buffers(model.n_components)
+    _log_joint(model, frames.values, frames.squares, log_joint, work)
+    return _logsumexp_rows(log_joint, work, below)
 
 
 def mixture_log_likelihood(model: GmmModel, X) -> float:
     """Total log likelihood of a feature matrix under the mixture."""
-    return float(np.sum(frame_log_likelihoods(model, X)))
+    return float(frame_log_likelihoods(model, X).sum())
 
 
 def _cluster_sums(V: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -297,16 +327,14 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     weights /= weights.sum()
     model = GmmModel(weights, means, variances)
 
-    # the E-step runs in these buffers; every array the model keeps is fresh
+    # the E-step and the final score run in these buffers
     trace: list[float] = []
-    x_sq = X * X
-    log_joint = np.empty((n_frames, n_components))
-    resp = np.empty_like(log_joint)
-    below = np.empty(log_joint.shape, dtype=bool)
+    frames = PreparedFrames(X)
+    log_joint, resp, below = frames.buffers(n_components)
     sums = np.empty((n_components, dims))
     sq_sums = np.empty_like(sums)
     for _ in range(opts.max_iters):
-        _log_joint(model, X, x_sq, log_joint, resp)
+        _log_joint(model, X, frames.squares, log_joint, resp)
         frame_ll = _logsumexp_rows(log_joint, resp, below)
         ll = float(frame_ll.sum())
         trace.append(ll)
@@ -319,7 +347,7 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
         empty = nk <= 0.0
         nk_safe = np.where(empty, 1.0, nk)
         new_means = np.matmul(resp.T, X, out=sums) / nk_safe[:, None]
-        new_sq = np.matmul(resp.T, x_sq, out=sq_sums) / nk_safe[:, None]
+        new_sq = np.matmul(resp.T, frames.squares, out=sq_sums) / nk_safe[:, None]
         new_vars = np.maximum(new_sq - new_means * new_means, floor)
         new_weights = nk / n_frames
         if np.any(empty):
@@ -330,7 +358,7 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
         new_weights /= new_weights.sum()
         model = GmmModel(new_weights, new_means, new_vars)
 
-    trace.append(mixture_log_likelihood(model, X))
+    trace.append(mixture_log_likelihood(model, frames))
     return model, trace
 
 

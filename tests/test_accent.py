@@ -22,6 +22,7 @@ from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import FeatureMatrix
 from accent_forge.gmm import EmOptions, GmmModel, em_fit, mixture_log_likelihood
 from accent_forge.pipeline import _dev_scores, _tune_confidence_threshold
+from gmm_reference import reference_frame_log_likelihoods
 
 
 def single_gaussian(mean, var=1.0, dims=2):
@@ -165,6 +166,28 @@ class TestVowelWeights:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             vowel_weights({"aa": 0}, ["aa"])
+
+
+def reference_total(model, X) -> float:
+    return float(np.sum(reference_frame_log_likelihoods(model, X)))
+
+
+def test_classifiers_score_ragged_capped_pools_like_the_reference():
+    """Pools below n_components get fewer components, so one vowel's models
+    differ in K; each accent's score still equals the reference bit for bit."""
+    rng = np.random.default_rng(41)
+    sizes = {"A": 300, "B": 5, "C": 60, "D": 3}
+    pools = {(lab, "aa"): rng.standard_normal((n, 4)) + i for i, (lab, n) in enumerate(sizes.items())}
+    labels = list(sizes)
+    models = accent.train_pools(pools, labels, 8, EmOptions(max_iters=5))
+    assert [models[(lab, "aa")].n_components for lab in labels] == [8, 5, 8, 3]
+    vset = VowelModelSet(labels, ["aa"], {"aa": 1.0}, models)
+    bset = AccentModelSet(labels, {lab: models[(lab, "aa")] for lab in labels})
+    for n in (1, 20, 400):
+        X = rng.standard_normal((n, 4)) * 2.0 + 1.0
+        expected = {lab: reference_total(models[(lab, "aa")], X) for lab in labels}
+        assert accent._score_vowel(vset, "aa", X) == (n, expected)
+        assert classify_baseline(bset, X).scores == expected
 
 
 def vowel_set_for(labels, vowels, model_fn, weights=None):

@@ -299,7 +299,8 @@ def test_full_pipeline_on_synthetic_corpus(synth_pipeline):
 def test_artifact_round_trips_and_rerun_equality(tmp_path):
     deadline = time.time() + 120
     cfg = PipelineConfig(
-        synth=SynthSpec(accents=["A", "B"], utterances_per_accent=4, duration_s=4.0),
+        # 5 per accent split 3/1/1, so each evaluation classifies test utterances
+        synth=SynthSpec(accents=["A", "B"], utterances_per_accent=5, duration_s=4.0),
         n_components=4,
         reduced_dim=8,
         vowel_subset_size=2,
@@ -326,7 +327,8 @@ def test_artifact_round_trips_and_rerun_equality(tmp_path):
             other = d2 / path.relative_to(d1)
             assert other.read_bytes() == path.read_bytes(), f"differs: {path.name}"
         r1 = pipeline.cmd_evaluate(m1, cfg, tmp_path / "w1", mode)
-        pipeline.cmd_evaluate(m2, cfg, tmp_path / "w2", mode)
+        r2 = pipeline.cmd_evaluate(m2, cfg, tmp_path / "w2", mode)
+        assert r1.utterances >= 1 and r2.utterances >= 1
         rel = f"reports/eval-{mode}.json"
         assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
 

@@ -870,7 +870,8 @@ def hlda_trained(shared_ws, tmp_path_factory):
 
 @pytest.mark.parametrize(
     "damaged",
-    ["config", "manifest", "fingerprint", "features", "mask", "mask_rate", "alignment", "transform"],
+    ["config", "manifest", "fingerprint", "features", "mask", "mask_rate", "alignment", "alignment_nan",
+     "transform"],
 )
 def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys, damaged):
     manifest, cfg, cfg_path, trained = hlda_trained
@@ -891,12 +892,15 @@ def test_damaged_input_exits_2_without_traceback(hlda_trained, tmp_path, capsys,
         "mask": ws / "vad" / f"{train[0].utterance_id}.mask",
         "mask_rate": ws / "vad" / f"{train[0].utterance_id}.mask",
         "alignment": corpus / str(train[0].alignment_path),
+        "alignment_nan": corpus / str(train[0].alignment_path),
         "transform": ws / "models-baseline-hlda" / "transform.lin",
     }[damaged]
     if damaged == "mask_rate":  # well formed but for a zero sample rate
         header, bits = target.read_text().split("\n", 1)
         fields = header.split()
         blob = (" ".join(fields[:4] + ["0"] + fields[5:]) + "\n" + bits).encode("ascii")
+    if damaged == "alignment_nan":  # valid UTF-8 text with a NaN start time
+        blob = b"nan 0.5 aa\n"
     if damaged == "transform":  # evaluate reads the model set's copy
         command, mode, blob = "evaluate", "baseline-hlda", b"ACHLDA1 hlda a 2 1\n"
         listing = ws / "models-baseline-hlda" / "modelset.txt"

@@ -269,6 +269,19 @@ class TestContextExpand:
         assert np.array_equal(out[0], np.concatenate([a, a, b]))
         assert np.array_equal(out[1], np.concatenate([a, b, b]))
 
+    @pytest.mark.parametrize("context", range(4))
+    @pytest.mark.parametrize("t", range(7))
+    def test_matches_the_clipped_gather(self, t, context):
+        values = np.random.default_rng(100 + t).standard_normal((t, 3))
+        index = np.arange(t)
+        expected = np.hstack([values[np.clip(index + offset, 0, t - 1)] if t else np.empty((0, 3))
+                              for offset in range(-context, context + 1)])
+        f = FeatureMatrix(values)
+        assert context_expand(f, context).values.tobytes() == expected.tobytes()
+        out = np.full((t, 3 * (2 * context + 1)), np.nan)
+        result = context_expand(f, context, out=out)
+        assert result.values is out and out.tobytes() == expected.tobytes()
+
 
 def test_full_chain_dimensions():
     rng = np.random.default_rng(14)

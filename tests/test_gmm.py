@@ -15,6 +15,8 @@ from accent_forge.gmm import (
     EXP_ZERO_BELOW,
     EmOptions,
     GmmModel,
+    MIN_VARIANCE,
+    PreparedFrames,
     em_fit,
     frame_log_likelihoods,
     load_gmm,
@@ -391,8 +393,8 @@ def test_em_cases_reach_the_underflow_bands(case):
 def test_frame_log_likelihoods_with_a_zero_weight_match_reference():
     # log 0 = -inf, so the zero-weight component's exp argument is -inf
     rng = np.random.default_rng(18)
-    model = random_model(rng, 4, 3)
-    model.weights = np.array([0.0, 0.5, 0.25, 0.25])
+    base = random_model(rng, 4, 3)
+    model = GmmModel(np.array([0.0, 0.5, 0.25, 0.25]), base.means, base.variances)
     X = rng.standard_normal((30, 3)) * 10.0
     with np.errstate(divide="ignore"):
         expected = reference_frame_log_likelihoods(model, X)
@@ -413,6 +415,92 @@ def test_exp_in_place_matches_np_exp():
         got = _exp_in_place(a, np.empty(a.shape, dtype=bool))
         assert got is a
         assert got.tobytes() == expected.tobytes()
+
+
+def test_exp_in_place_without_underflow_matches_np_exp():
+    # no argument below EXP_ZERO_BELOW (NaN compares as not below): np.exp
+    # runs alone and the masking passes are skipped
+    rng = np.random.default_rng(22)
+    for args in (rng.uniform(-746.0, 5.0, 3000), np.array([-746.0, -745.13, 0.0, -0.0]),
+                 np.array([np.nan, -3.0, 1.0]), np.empty(0)):
+        for shape in ((args.size,), (args.size // 2, 2) if args.size % 2 == 0 else (1, args.size)):
+            a = args.reshape(shape).copy()
+            expected = np.exp(a)
+            got = _exp_in_place(a, np.empty(a.shape, dtype=bool))
+            assert got is a and got.tobytes() == expected.tobytes()
+
+
+def kernel_model(rng, k, d, floored):
+    """A model whose components sit on a few blobs; with floored, some
+    variances sit at MIN_VARIANCE and others at a relative floor of 1e-3."""
+    w = rng.uniform(0.2, 1.0, k)
+    variances = rng.uniform(0.3, 2.0, (k, d))
+    if floored:
+        variances[rng.uniform(size=(k, d)) < 0.2] = 1e-3
+        variances[rng.uniform(size=(k, d)) < 0.05] = MIN_VARIANCE
+    return GmmModel(w / w.sum(), rng.uniform(-2.0, 2.0, (k, d)), variances)
+
+
+@pytest.mark.parametrize("n", [1, 20, 400])
+@pytest.mark.parametrize("d", [1, 20, 39])
+def test_kernel_scores_match_reference(n, d):
+    """Frame likelihoods and totals equal the reference bit for bit, over
+    one PreparedFrames shared by models of K = 1, 8, 64 and back, on frames
+    with and without arguments below EXP_ZERO_BELOW."""
+    rng = np.random.default_rng(100 * n + d)
+    branches = set()
+    for far in (False, True):
+        X = rng.standard_normal((n, d))
+        if far:
+            X[rng.uniform(size=n) < 0.3] *= 40.0
+        frames = PreparedFrames(X)
+        for k, floored in ((1, False), (8, False), (64, True), (8, True), (64, False)):
+            model = kernel_model(rng, k, d, floored)
+            expected = reference_frame_log_likelihoods(model, X)
+            log_joint = component_log_densities(model, X) + np.log(model.weights)[None, :]
+            branches.add(bool(np.any(log_joint - log_joint.max(axis=1, keepdims=True) < EXP_ZERO_BELOW)))
+            assert frame_log_likelihoods(model, frames).tobytes() == expected.tobytes()
+            assert frame_log_likelihoods(model, X).tobytes() == expected.tobytes()
+            assert mixture_log_likelihood(model, frames) == float(np.sum(expected))
+    assert branches == {False, True}
+
+
+@pytest.mark.parametrize("n, k", [(20, 1), (20, 8), (400, 1), (400, 8), (400, 64)])
+@pytest.mark.parametrize("d", [1, 20, 39])
+def test_kernel_em_fit_matches_reference(n, k, d):
+    rng = np.random.default_rng(10 * n + k + d)
+    X = rng.standard_normal((3, d))[rng.integers(0, 3, n)] * 3.0 + rng.standard_normal((n, d))
+    opts = EmOptions(seed=k)
+    model, trace = em_fit(X, k, opts)
+    ref_model, ref_trace = reference_em_fit(X, k, opts)
+    assert_same_bytes(model, trace, ref_model, ref_trace)
+
+
+def test_model_arrays_and_terms_cannot_change():
+    rng = np.random.default_rng(23)
+    weights, means, variances = np.array([0.25, 0.75]), rng.standard_normal((2, 3)), np.ones((2, 3))
+    model = GmmModel(weights, means, variances)
+    X = rng.standard_normal((10, 3))
+    before = frame_log_likelihoods(model, X)
+    for arr in (model.weights, model.means, model.variances, *model._terms):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    for name in ("weights", "means", "variances", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name))
+    # the caller's arrays stay writable, and writing them leaves the model alone
+    means[:] = 5.0
+    variances[:] = 9.0
+    assert frame_log_likelihoods(model, X).tobytes() == before.tobytes()
+
+
+def test_prepared_frames_read_as_their_values():
+    X = np.random.default_rng(24).standard_normal((6, 4))
+    frames = PreparedFrames(X)
+    assert np.asarray(frames).tobytes() == X.tobytes() and frames.values.shape == (6, 4)
+    assert frames.squares.tobytes() == (X * X).tobytes()
+    assert frames.buffers(5) is frames.buffers(5) and frames.buffers(3)[0].shape == (6, 3)
 
 
 class _RecordingNumpy:

@@ -83,8 +83,15 @@ DAMAGED = {
     "mask-zero_hop": b"ACMASK1 u 400 0 8000 3\n101\n",
     "mask-bit_not_0_or_1": b"ACMASK1 u 400 200 8000 3\n1x1\n",
     "alignment-not_utf8": NOT_UTF8,
+    "alignment-nan_start": b"nan 0.5 aa\n",
+    "alignment-inf_end": b"0.1 inf iy\n",
+    "alignment-nan_confidence": b"0.1 0.3 iy nan\n",
+    "alignment-inf_confidence": b"0.1 0.3 iy -inf\n",
     "manifest-not_utf8": NOT_UTF8,
     "config-not_utf8": NOT_UTF8,
+    "config-nan_rel_tol": b"[em]\nrel_tol = nan\n",
+    "config-nan_threshold_weight": b"[vad]\nthreshold_weight = NaN\n",
+    "config-inf_duration": b"[synth]\nduration_s = inf\n",
     "model_set-not_utf8": NOT_UTF8,
     "eval_report-not_utf8": NOT_UTF8,
     "eval_report-a_list": b"[1, 2]\n",
@@ -113,6 +120,22 @@ def test_damaged_file_is_a_data_error(tmp_path, case):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=name):
             reader(path)
+
+
+def test_non_finite_alignment_field_names_its_line(tmp_path):
+    path = tmp_path / "u.ali"
+    path.write_bytes(b"0.1 0.2 aa\n# note\n0.3 0.4 iy nan\n")
+    with pytest.raises(DataError, match=r"u\.ali:3: non-finite field in: '0.3 0.4 iy nan'"):
+        parse_alignment(path)
+
+
+@pytest.mark.parametrize("section, key", [("em", "rel_tol"), ("vad", "threshold_weight"),
+                                          ("synth", "formant_shift"), ("plp", "hop_ms")])
+def test_non_finite_config_float_names_section_and_key(tmp_path, section, key):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[{section}]\n{key} = nan\n")
+    with pytest.raises(DataError, match=rf"c\.ini: bad value for \[{section}\] {key}"):
+        load_config(path)
 
 
 WELL_FORMED = {
