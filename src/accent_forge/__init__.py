@@ -34,7 +34,6 @@ from .discriminant import (
     load_transform,
     project,
     save_transform,
-    scatter_matrices,
 )
 from .accent import (
     AccentModelSet,

@@ -112,12 +112,6 @@ def _scatter_stats(data: LabeledFeatures, overwrite_rows: bool = False):
     return tuple(0.5 * (a + a.swapaxes(-1, -2)) for a in (covs, s_b, s_w))
 
 
-def scatter_matrices(data: LabeledFeatures) -> tuple[np.ndarray, np.ndarray]:
-    """Between-class (total-deviation) and within-class scatter matrices."""
-    _, s_b, s_w = _scatter_stats(data)
-    return s_b, s_w
-
-
 def _ensure_spd(mat: np.ndarray, what: str) -> np.ndarray:
     """Return mat, ridge-regularized if it is singular at working precision.
 

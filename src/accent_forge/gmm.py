@@ -10,6 +10,16 @@ X^2 @ (prec/2)^T, minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all
 that, plus log w. This equals the textbook form, which halves at the end, bit for bit:
 scaling by a power of two commutes with every rounding, the GEMM's FMAs included,
 outside the subnormal range.
+
+np.exp is about 150x slower below about -707, so work that cannot change a bit
+is skipped. The log-sum-exp raises shifted arguments below EXP_CLAMP = -700 to
+it: a row's maximum adds exp(0) = 1, and an addend below e^-700 changes only
+tiny partial sums, which reach a total of at least 1 only through a chain of
+exact rounding ties. EM flushes responsibilities below exp(EXP_CLAMP) to +0.0;
+the M-step sums keep their bits by the same argument while each is at least
+EXACT_SUMS_ABOVE = 2^-900, and are redone from exact ones otherwise. This is a
+rounding argument, not a proof for every input; the tests fuzz it. k-means
+stops at an exact fixed point of its centers.
 """
 
 from __future__ import annotations
@@ -98,10 +108,14 @@ def _as_matrix(x) -> np.ndarray:
 # non-zero result is exp(-745.13...)); tests pin that fact
 EXP_ZERO_BELOW = -746.0
 
+# np.exp leaves its fast path near -707; see the module docstring
+EXP_CLAMP = -700.0
+EXACT_SUMS_ABOVE = 2.0 ** -900
+
 
 class PreparedFrames:
-    """Frames scored against several models: X, X * X and the (N, K) work
-    buffers, made once and shared by every model with K components."""
+    """Frames scored against several models: X, X * X and the two (N, K)
+    work buffers, made once and shared by every model with K components."""
 
     def __init__(self, X):
         self.values = _as_matrix(X)
@@ -111,10 +125,10 @@ class PreparedFrames:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)
 
-    def buffers(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def buffers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in self._buffers:
             shape = (self.values.shape[0], k)
-            self._buffers[k] = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+            self._buffers[k] = (np.empty(shape), np.empty(shape))
         return self._buffers[k]
 
 
@@ -136,12 +150,13 @@ def _log_joint(model: GmmModel, X: np.ndarray, x_sq: np.ndarray, out: np.ndarray
     return out
 
 
-def _exp_in_place(a: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """np.exp(a) into a, bit for bit, without handing np.exp the arguments
-    whose result is exactly 0 (numpy's slow underflow path); below is a bool
-    scratch array of a's shape. The masking passes run only when some
-    argument is that small."""
-    if not np.less(a, EXP_ZERO_BELOW, out=below).any():
+def _exp_in_place(a: np.ndarray, below: np.ndarray, threshold: float = EXP_ZERO_BELOW) -> np.ndarray:
+    """np.exp(a) into a, except that arguments below threshold give +0.0
+    without reaching np.exp; below is a bool scratch array of a's shape. At
+    the default threshold np.exp gives +0.0 there itself, so this is np.exp
+    bit for bit, off numpy's slow underflow path. The masking passes run
+    only when some argument is below threshold."""
+    if not np.less(a, threshold, out=below).any():
         return np.exp(a, out=a)
     np.putmask(a, below, 0.0)
     np.exp(a, out=a)
@@ -149,12 +164,13 @@ def _exp_in_place(a: np.ndarray, below: np.ndarray) -> np.ndarray:
     return a
 
 
-def _logsumexp_rows(z: np.ndarray, work: np.ndarray, below: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of z; addends are sorted so the result is
-    order-invariant. work and below are scratch arrays of z's shape."""
+    order-invariant. work is a scratch array of z's shape."""
     shift = z.max(axis=1, keepdims=True)
     np.subtract(z, shift, out=work)
-    _exp_in_place(work, below)
+    np.maximum(work, EXP_CLAMP, out=work)
+    np.exp(work, out=work)
     work.sort(axis=1)
     total = work.sum(axis=1)
     np.log(total, out=total)
@@ -165,9 +181,9 @@ def _logsumexp_rows(z: np.ndarray, work: np.ndarray, below: np.ndarray) -> np.nd
 def frame_log_likelihoods(model: GmmModel, X) -> np.ndarray:
     """Per-frame log mixture densities, shape (N,); X may be PreparedFrames."""
     frames = X if isinstance(X, PreparedFrames) else PreparedFrames(X)
-    log_joint, work, below = frames.buffers(model.n_components)
+    log_joint, work = frames.buffers(model.n_components)
     _log_joint(model, frames.values, frames.squares, log_joint, work)
-    return _logsumexp_rows(log_joint, work, below)
+    return _logsumexp_rows(log_joint, work)
 
 
 def mixture_log_likelihood(model: GmmModel, X) -> float:
@@ -241,7 +257,8 @@ def _sq_distances(XT: np.ndarray, center: np.ndarray, work: np.ndarray) -> np.nd
 
 
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
-    """Seeded k-means++ with a fixed number of Lloyd iterations (at least one).
+    """Seeded k-means++ with up to iters Lloyd iterations (at least one),
+    stopping early at an exact fixed point, which the rest would repeat.
 
     Each seeding step draws its point as rng.choice(n, p=d2 / d2.sum())
     would, consuming the generator exactly as that call does. Every
@@ -268,9 +285,9 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     labels = np.zeros(n, dtype=np.intp)
     dists = np.empty((n, k))
     for _ in range(iters):
+        previous = centers.copy()
         # x_sq - 2.0 * (X @ centers.T) + |centers|^2, in that order, built in place
-        np.matmul(X, centers.T, out=dists)
-        dists *= 2.0
+        np.matmul(X, 2.0 * centers.T, out=dists)
         np.subtract(x_sq, dists, out=dists)
         dists += np.sum(centers * centers, axis=1)[None, :]
         labels = np.argmin(dists, axis=1)
@@ -286,6 +303,8 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
             counts = np.bincount(labels, minlength=k)
         filled = counts > 0
         centers[filled] = _cluster_sums(X, labels, counts)[filled] / counts[filled, None]
+        if centers.tobytes() == previous.tobytes():
+            break  # a fixed point: every further iteration would repeat this one
     return centers, labels
 
 
@@ -330,24 +349,31 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     # the E-step and the final score run in these buffers
     trace: list[float] = []
     frames = PreparedFrames(X)
-    log_joint, resp, below = frames.buffers(n_components)
+    log_joint, resp = frames.buffers(n_components)
+    below = np.empty(resp.shape, dtype=bool)
     sums = np.empty((n_components, dims))
     sq_sums = np.empty_like(sums)
     for _ in range(opts.max_iters):
         _log_joint(model, X, frames.squares, log_joint, resp)
-        frame_ll = _logsumexp_rows(log_joint, resp, below)
+        frame_ll = _logsumexp_rows(log_joint, resp)
         ll = float(frame_ll.sum())
         trace.append(ll)
         if len(trace) >= 2 and ll - trace[-2] < opts.rel_tol * abs(trace[-2]):
             return model, trace
 
-        np.subtract(log_joint, frame_ll[:, None], out=resp)
-        _exp_in_place(resp, below)
-        nk = resp.sum(axis=0)
+        # flushed responsibilities, or exact ones if a sum is too small
+        for threshold in (EXP_CLAMP, EXP_ZERO_BELOW):
+            np.subtract(log_joint, frame_ll[:, None], out=resp)
+            _exp_in_place(resp, below, threshold)
+            nk = resp.sum(axis=0)
+            np.matmul(resp.T, X, out=sums)
+            np.matmul(resp.T, frames.squares, out=sq_sums)
+            if min(np.abs(nk).min(), np.abs(sums).min(), sq_sums.min()) >= EXACT_SUMS_ABOVE:
+                break
         empty = nk <= 0.0
         nk_safe = np.where(empty, 1.0, nk)
-        new_means = np.matmul(resp.T, X, out=sums) / nk_safe[:, None]
-        new_sq = np.matmul(resp.T, frames.squares, out=sq_sums) / nk_safe[:, None]
+        new_means = sums / nk_safe[:, None]
+        new_sq = sq_sums / nk_safe[:, None]
         new_vars = np.maximum(new_sq - new_means * new_means, floor)
         new_weights = nk / n_frames
         if np.any(empty):

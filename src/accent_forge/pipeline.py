@@ -197,7 +197,10 @@ def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
             raise ConsistencyError(
                 f"{mask_path} does not frame {wav} as the [vad] configuration does; run vad again"
             )
-        return plp_with_deltas(masked_speech(audio, mask), cfg, entry.utterance_id)
+        try:  # a sample rate or [plp] setting the front end cannot analyze
+            return plp_with_deltas(masked_speech(audio, mask), cfg, entry.utterance_id)
+        except ValueError as exc:
+            raise DataError(f"{wav}: {exc}") from None
 
     feats = _map_ordered(extract, manifest.entries)
     if cfg.mvn_scope == "global":

@@ -25,7 +25,7 @@ from accent_forge.accent import (
 )
 from accent_forge.audio import AudioBuffer
 from accent_forge.config import PipelineConfig, SynthSpec
-from accent_forge.discriminant import LabeledFeatures, hlda_fit, lda_fit, project, scatter_matrices
+from accent_forge.discriminant import LabeledFeatures, _scatter_stats, hlda_fit, lda_fit, project
 from accent_forge.features import read_feature_archive
 from accent_forge.gmm import (
     EmOptions,
@@ -119,7 +119,7 @@ def test_scatter_matches_double_loop():
         S = int(rng.integers(1, 5))
         labels = np.concatenate([np.repeat(np.arange(S), 2), rng.integers(0, S, K - 2 * S)])
         X = rng.standard_normal((K, M)) * rng.uniform(0.5, 3.0)
-        s_b, s_w = scatter_matrices(LabeledFeatures(X, labels))
+        _, s_b, s_w = _scatter_stats(LabeledFeatures(X, labels))
 
         phi = X.mean(axis=0)
         ob = np.zeros((M, M))

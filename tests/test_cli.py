@@ -947,6 +947,30 @@ def test_missing_mask_exits_2_naming_it(vowel_trained, tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("sample_rate", "sample rate must be at least 8000 Hz"),
+    ("lp_order", "17 critical bands cannot support lp_order 30"),
+])
+def test_featurize_setting_the_front_end_rejects_exits_2(tmp_path, capsys, case, message):
+    # both pass vad; the front end's ValueError must not escape featurize
+    audio, _ = synthesize_utterance(SynthSpec(accents=["A"], duration_s=3.0), 0, 0, 1)
+    if case == "sample_rate":
+        audio = AudioBuffer(audio.samples[::4], audio.sample_rate // 4)
+    wav = tmp_path / "u.wav"
+    save_audio(wav, audio)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"u\t{wav}\tA\n")
+    config = tmp_path / "c.ini"
+    config.write_text("[plp]\nlp_order = 30\n" if case == "lp_order" else "[run]\nseed = 1\n")
+    args = ["--manifest", str(manifest), "--config", str(config), "--out", str(tmp_path / "w")]
+    assert main(["vad", *args]) == 0
+    capsys.readouterr()
+    assert main(["featurize", *args]) == 2
+    err = capsys.readouterr().err
+    assert f"accent-forge: data error: {wav}: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_hlda_failure_exits_2_without_traceback(shared_ws, tmp_path, monkeypatch, capsys):
     manifest, _, prepared = shared_ws
     ws = fresh_workspace(prepared, tmp_path)

@@ -17,7 +17,6 @@ from accent_forge.discriminant import (
     load_transform,
     project,
     save_transform,
-    scatter_matrices,
 )
 from accent_forge.errors import DataError
 from accent_forge.features import FeatureMatrix
@@ -60,7 +59,7 @@ class TestScatterMatrices:
     def test_identical_rows(self):
         X = np.tile([1.0, 2.0, 3.0], (6, 1))
         data = LabeledFeatures(X, np.array([0, 0, 0, 1, 1, 1]))
-        s_b, s_w = scatter_matrices(data)
+        _, s_b, s_w = discriminant._scatter_stats(data)
         assert np.allclose(s_b, 0) and np.allclose(s_w, 0)
 
     def test_single_class_relation(self):
@@ -69,7 +68,7 @@ class TestScatterMatrices:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 3))
         data = LabeledFeatures(X, np.zeros(40, dtype=int))
-        s_b, s_w = scatter_matrices(data)
+        _, s_b, s_w = discriminant._scatter_stats(data)
         cov = np.cov(X.T, bias=True)
         np.testing.assert_allclose(s_b, cov, atol=1e-12)
         np.testing.assert_allclose(s_w, 40 * s_b, atol=1e-10)
@@ -83,7 +82,7 @@ class TestScatterMatrices:
             labels = np.repeat(np.arange(S), 2)
             labels = np.concatenate([labels, rng.integers(0, S, K - labels.size)])
             X = rng.standard_normal((K, M))
-            s_b, s_w = scatter_matrices(LabeledFeatures(X, labels))
+            _, s_b, s_w = discriminant._scatter_stats(LabeledFeatures(X, labels))
             ob, ow = brute_force_scatters(X, labels)
             np.testing.assert_allclose(s_b, ob, atol=1e-12)
             np.testing.assert_allclose(s_w, ow, atol=1e-12)
@@ -93,7 +92,7 @@ class TestScatterMatrices:
         X = rng.standard_normal((30, 4))
         labels = rng.integers(0, 2, 30)
         labels[:4] = [0, 0, 1, 1]
-        s_b, s_w = scatter_matrices(LabeledFeatures(X, labels))
+        _, s_b, s_w = discriminant._scatter_stats(LabeledFeatures(X, labels))
         for s in (s_b, s_w):
             assert np.array_equal(s, s.T)
             assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
@@ -121,7 +120,7 @@ class TestLdaFit:
         X = rng.standard_normal((80, 4)) @ rng.standard_normal((4, 4))
         labels = np.repeat(np.arange(3), [30, 30, 20])
         data = LabeledFeatures(X, labels)
-        s_b, s_w = scatter_matrices(data)
+        _, s_b, s_w = discriminant._scatter_stats(data)
         dense_vals = np.sort(scipy.linalg.eig(s_b, s_w)[0].real)[::-1]
         t = lda_fit(data, 4)
         fitted_vals = [
@@ -134,7 +133,7 @@ class TestLdaFit:
         X = rng.standard_normal((50, 3))
         labels = np.repeat(np.arange(2), 25)
         data = LabeledFeatures(X, labels)
-        _, s_w = scatter_matrices(data)
+        *_, s_w = discriminant._scatter_stats(data)
         t = lda_fit(data, 2)
         for row in t.matrix:
             assert float(row @ s_w @ row) == pytest.approx(1.0, abs=1e-8)
@@ -186,7 +185,7 @@ class TestLdaFit:
             rows = X[labels == c]
             d = (rows.mean(axis=0) - phi)[:, None]
             s_b_classic += rows.shape[0] * (d @ d.T)
-        _, s_w = scatter_matrices(data)
+        *_, s_w = discriminant._scatter_stats(data)
         vals, vecs = scipy.linalg.eigh(s_b_classic, s_w)
         classic = vecs[:, np.argsort(-vals)[:m]].T
         assert np.max(subspace_angles(t_total.matrix, classic)) < 1e-6
@@ -599,7 +598,7 @@ class TestOnePassFit:
         assert np.array_equal(data.X, rows - rows.mean(axis=0))  # centered in place
         data = LabeledFeatures(rows, data.labels)
         first = LabeledFeatures(X, labels)
-        for new, old in zip(scatter_matrices(data), first_scatter_matrices(first)):
+        for new, old in zip(discriminant._scatter_stats(data)[1:], first_scatter_matrices(first)):
             assert new.tobytes() == old.tobytes()
         covs, total_cov, _ = discriminant._scatter_stats(data)
         old_covs, old_total, _ = first_class_stats(first)
@@ -639,7 +638,6 @@ class TestOnePassFit:
             raise AssertionError("hlda_fit read the rows a second time")
 
         monkeypatch.setattr(discriminant, "_scatter_stats", counting)
-        monkeypatch.setattr(discriminant, "scatter_matrices", forbidden)
         monkeypatch.setattr(discriminant, "lda_fit", forbidden)
         hlda_fit(data, max(1, M // 2), max_iters=3)
         assert passes == [data]

@@ -12,6 +12,7 @@ from accent_forge.gmm import (
     _kmeans,
     _pairwise_sum,
     _sq_distances,
+    EXP_CLAMP,
     EXP_ZERO_BELOW,
     EmOptions,
     GmmModel,
@@ -474,6 +475,115 @@ def test_kernel_em_fit_matches_reference(n, k, d):
     model, trace = em_fit(X, k, opts)
     ref_model, ref_trace = reference_em_fit(X, k, opts)
     assert_same_bytes(model, trace, ref_model, ref_trace)
+
+
+# row widths around numpy's pairwise-sum blocks (8 and 128) and the
+# component counts in use
+LSE_WIDTHS = [1, 2, 3, 7, 8, 9, 16, 63, 64, 65, 100, 128, 200, 256, 512]
+
+
+def lse_rows(rng, k, kind, rows=400):
+    """Log-joint rows of width k whose shifted arguments are uniform on
+    [-800, 0], uniform on the band [-760, -690] around EXP_CLAMP, or a slow
+    ladder: steps down through the subnormal band in runs of four equal
+    values. One argument per row is 0, and each row gets a random shift."""
+    if kind == "uniform":
+        args = rng.uniform(-800.0, 0.0, (rows, k))
+    elif kind == "band":
+        args = rng.uniform(-760.0, -690.0, (rows, k))
+    else:
+        steps = rng.uniform(0.01, 1.0, (rows, 1)) * 60.0 / max(k // 4, 1)
+        args = rng.uniform(-712.0, -698.0, (rows, 1)) - (np.arange(k) // 4) * steps
+    args[np.arange(rows), rng.integers(0, k, rows)] = 0.0
+    return args + rng.uniform(-50.0, 50.0, (rows, 1))
+
+
+@pytest.mark.parametrize("k", LSE_WIDTHS)
+def test_clamped_logsumexp_matches_exact_exp(k):
+    # arguments below EXP_CLAMP are raised to it before exp; the totals keep
+    # the bits of the exact exp, which the masked exp at -746 reproduces
+    rng = np.random.default_rng(700 + k)
+    for kind in ("uniform", "band", "ladder"):
+        z = lse_rows(rng, k, kind)
+        if k > 1:
+            assert np.any(z - z.max(axis=1, keepdims=True) < EXP_CLAMP)
+        expected = logsumexp_rows(z)
+        assert gmm._logsumexp_rows(z, np.empty_like(z)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", LSE_WIDTHS)
+def test_frame_log_likelihoods_across_the_clamp_match_reference(k):
+    # one- and two-dimensional models whose components sit far apart, so
+    # that the shifted arguments spread over [-900, 0], across EXP_CLAMP
+    rng = np.random.default_rng(800 + k)
+    for d in (1, 2):
+        X = rng.uniform(0.0, 30.0, (300, d))
+        w = rng.uniform(0.2, 1.0, k)
+        means = rng.uniform(0.0, 30.0, (k, d))
+        means[:, 0] = rng.permutation(np.linspace(0.0, 30.0, k))
+        model = GmmModel(w / w.sum(), means, rng.uniform(0.4, 0.6, (k, d)))
+        if k > 1:
+            args = log_responsibilities(model, X)
+            assert np.any(args < EXP_CLAMP) and np.any((args > SUBNORMAL_BAND[0]) & (args < EXP_CLAMP))
+        expected = reference_frame_log_likelihoods(model, X)
+        assert frame_log_likelihoods(model, X).tobytes() == expected.tobytes()
+
+
+def spy_on_exp_thresholds(monkeypatch):
+    """Record the threshold of every _exp_in_place call and whether some
+    argument fell below it; all come from EM's M-step."""
+    seen = []
+    real = gmm._exp_in_place
+
+    def spying(a, below, threshold=EXP_ZERO_BELOW):
+        seen.append((threshold, bool(np.any(a < threshold))))
+        return real(a, below, threshold)
+
+    monkeypatch.setattr(gmm, "_exp_in_place", spying)
+    return seen
+
+
+@pytest.mark.parametrize("case, taken", [
+    ("starved_component", True), ("far_outliers", False), ("vowel", False),
+])
+def test_m_step_falls_back_to_exact_responsibilities(monkeypatch, case, taken):
+    # responsibilities below exp(EXP_CLAMP) are flushed to +0.0; a starved
+    # component's whole responsibility is flushed, so its M-step is redone
+    # with the exact responsibilities
+    X, k, extra = em_case(case, np.random.default_rng(5))
+    opts = EmOptions(seed=0, **extra)
+    seen = spy_on_exp_thresholds(monkeypatch)
+    model, trace = em_fit(X, k, opts)
+    monkeypatch.undo()
+    assert_same_bytes(model, trace, *reference_em_fit(X, k, opts))
+    flushed = [below for threshold, below in seen if threshold == EXP_CLAMP]
+    redone = [threshold for threshold, _ in seen if threshold == EXP_ZERO_BELOW]
+    assert len(flushed) == len(trace) - 1 and any(flushed)
+    assert bool(redone) == taken
+
+
+def count_lloyd_iterations(monkeypatch):
+    """Count the member-mean updates of _kmeans, one per Lloyd iteration."""
+    calls = []
+    real = gmm._cluster_sums
+    monkeypatch.setattr(gmm, "_cluster_sums", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case, iters, ran", [
+    ("vowel", 10, 5), ("duplicates", 10, 2), ("baseline", 10, 10), ("spread", 1, 1),
+])
+def test_kmeans_stops_at_its_fixed_point(monkeypatch, case, iters, ran):
+    # an iteration that leaves the centers unchanged, byte for byte, is
+    # repeated by every later one, so stopping there returns the same result
+    X, k = start_case(case, np.random.default_rng(3))
+    calls = count_lloyd_iterations(monkeypatch)
+    centers, labels = _kmeans(X, k, np.random.default_rng(0), iters)
+    monkeypatch.undo()
+    assert len(calls) == ran
+    ref_centers, ref_labels = scan_kmeans(X, k, np.random.default_rng(0), iters)
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert labels.tobytes() == ref_labels.tobytes()
 
 
 def test_model_arrays_and_terms_cannot_change():
