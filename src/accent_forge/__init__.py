@@ -53,11 +53,10 @@ from .corpus import (
     Manifest,
     SplitAssignment,
     extract_vowel_frames,
-    filter_by_confidence,
     parse_alignment,
     parse_manifest,
+    remap_segments,
     split_dataset,
-    vad_mask_to_alignment_time,
 )
 from .config import PipelineConfig, SynthSpec, config_fingerprint, default_config, load_config
 from .errors import ConsistencyError, DataError, UsageError

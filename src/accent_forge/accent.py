@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -72,8 +73,10 @@ class VowelModelSet:
         for v in self.subset:
             if v not in self.inventory:
                 raise ValueError(f"subset vowel {v!r} not in inventory")
-        total = sum(self.weights.get(v, 0.0) for v in self.subset)
-        if abs(total - 1.0) > 1e-10 or any(self.weights[v] < 0 for v in self.subset):
+        if math.isnan(self.confidence_tau):
+            raise ValueError("the confidence threshold tau is NaN")
+        weights = [self.weights.get(v, math.nan) for v in self.subset]  # a missing weight fails too
+        if not all(0.0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError("subset weights must form a probability simplex")
         for lab in self.labels:
             for v in self.subset:

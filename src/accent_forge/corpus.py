@@ -1,7 +1,11 @@
 """Dataset manifests, deterministic splits, and phone-alignment handling.
 
 Alignments are produced by external tooling and consumed here from plain
-text files; nothing in this package performs phone recognition.
+text files; nothing in this package performs phone recognition. An
+utterance's alignment is remapped onto silence-removed time once and then
+labels its feature frames once, as a vowel table: per frame and vowel, the
+best confidence of the segments that cover the frame. Every vowel's rows,
+at any confidence threshold, are a comparison on one of its columns.
 """
 
 from __future__ import annotations
@@ -196,65 +200,44 @@ def write_alignment(path, segments) -> None:
                 fh.write(f"{s.start!r} {s.end!r} {s.phone} {s.confidence!r}\n")
 
 
-def filter_by_confidence(segments, threshold: float) -> tuple[list[AlignmentSegment], int]:
-    """Keep segments whose confidence clears the threshold.
+def extract_vowel_frames(f: FeatureMatrix, segments) -> np.ndarray:
+    """The vowel table of f: one row per frame, one column per vowel of VOWELS.
 
-    threshold == -inf keeps everything, including unscored segments;
-    otherwise unscored segments are dropped. Returns (kept, dropped count).
+    Entry (i, j) is the highest confidence among the segments of vowel j
+    whose half-open interval [start, end) holds the centre of frame i; an
+    unscored segment counts as -inf, and a frame no such segment covers
+    holds NaN. So f.values[table[:, j] >= tau] are vowel j's frames under
+    the segments whose confidence clears tau, and tau = -inf keeps unscored
+    segments too. A frame inside two vowels' segments is in both columns;
+    other phones are ignored.
     """
-    if threshold == float("-inf"):
-        return list(segments), 0
-    kept = [s for s in segments if s.confidence is not None and s.confidence >= threshold]
-    return kept, len(segments) - len(kept)
-
-
-def extract_vowel_frames(
-    f: FeatureMatrix, segments, vowel: str, inventory: tuple[str, ...] = VOWELS
-) -> FeatureMatrix:
-    """Rows of f whose frame center falls inside a segment of the given vowel.
-
-    Membership uses half-open intervals [start, end); order is preserved and
-    other phones are ignored. The result may be empty.
-    """
-    if vowel not in inventory:
-        raise ValueError(f"vowel {vowel!r} is not in the inventory")
     centers = f.frame_centers_s()
-    keep = np.zeros(f.n_frames, dtype=bool)
+    table = np.full((f.n_frames, len(VOWELS)), np.nan)
     for s in segments:
-        if s.phone == vowel:
-            keep |= (centers >= s.start) & (centers < s.end)
-    return f.with_values(f.values[keep])
+        if s.phone in VOWELS:
+            column = table[:, VOWELS.index(s.phone)]
+            confidence = float("-inf") if s.confidence is None else s.confidence
+            np.fmax(column, confidence, out=column, where=(centers >= s.start) & (centers < s.end))
+    return table
 
 
-class TimeRemap:
-    """Monotone map from original time to silence-removed (compacted) time."""
+def remap_segments(mask: SpeechMask, segments) -> list[AlignmentSegment]:
+    """Segments moved from original time onto the silence-removed time of mask.
 
-    def __init__(self, mask: SpeechMask):
-        hop_s = mask.hop_s
-        kept = np.flatnonzero(mask.keep)
-        self._starts = kept * hop_s  # original start of each kept slice
-        self._new_starts = np.arange(kept.size) * hop_s
-        self._hop_s = hop_s
-
-    def time(self, t: float) -> float:
-        """Kept duration strictly before original time t."""
-        if self._starts.size == 0:
-            return 0.0
-        idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        if idx < 0:
-            return 0.0
-        inside = min(max(t - self._starts[idx], 0.0), self._hop_s)
-        return float(self._new_starts[idx] + inside)
-
-    def segment(self, seg: AlignmentSegment) -> AlignmentSegment | None:
-        """Remap a segment; returns None if it falls entirely in removed audio."""
-        new_start = self.time(seg.start)
-        new_end = self.time(seg.end)
-        if new_end - new_start <= 1e-9:
-            return None
-        return AlignmentSegment(new_start, new_end, seg.phone, seg.confidence)
-
-
-def vad_mask_to_alignment_time(mask: SpeechMask) -> TimeRemap:
-    """Build the original-to-compacted time map implied by a speech mask."""
-    return TimeRemap(mask)
+    A time t maps to the kept duration strictly before it; a segment that
+    keeps 1e-9 s or less (one inside removed audio) is left out.
+    """
+    hop_s = mask.hop_s
+    kept = np.flatnonzero(mask.keep)
+    if kept.size == 0:
+        return []
+    starts = kept * hop_s  # original start of each kept slice
+    t = np.array([(s.start, s.end) for s in segments])
+    idx = np.searchsorted(starts, t, side="right") - 1
+    inside = np.minimum(np.maximum(t - starts[idx], 0.0), hop_s)
+    new = np.where(idx < 0, 0.0, idx * hop_s + inside)  # idx * hop_s: the slice's new start
+    return [
+        AlignmentSegment(start, end, s.phone, s.confidence)
+        for s, (start, end) in zip(segments, new.tolist())
+        if end - start > 1e-9
+    ]

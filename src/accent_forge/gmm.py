@@ -17,7 +17,8 @@ it: a row's maximum adds exp(0) = 1, and an addend below e^-700 changes only
 tiny partial sums, which reach a total of at least 1 only through a chain of
 exact rounding ties. EM flushes responsibilities below exp(EXP_CLAMP) to +0.0;
 the M-step sums keep their bits by the same argument while each is at least
-EXACT_SUMS_ABOVE = 2^-900, and are redone from exact ones otherwise. This is a
+EXACT_SUMS_ABOVE = 2^-900, and are redone from exact ones otherwise; an all-zero
+column of frames, whose sums are exactly 0 either way, is left out. This is a
 rounding argument, not a proof for every input; the tests fuzz it. k-means
 stops at an exact fixed point of its centers.
 """
@@ -353,6 +354,7 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     below = np.empty(resp.shape, dtype=bool)
     sums = np.empty((n_components, dims))
     sq_sums = np.empty_like(sums)
+    live = X.any(axis=0)  # an all-zero column's sums are exactly 0 on both paths
     for _ in range(opts.max_iters):
         _log_joint(model, X, frames.squares, log_joint, resp)
         frame_ll = _logsumexp_rows(log_joint, resp)
@@ -368,7 +370,8 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
             nk = resp.sum(axis=0)
             np.matmul(resp.T, X, out=sums)
             np.matmul(resp.T, frames.squares, out=sq_sums)
-            if min(np.abs(nk).min(), np.abs(sums).min(), sq_sums.min()) >= EXACT_SUMS_ABOVE:
+            smallest = min(np.abs(sums[:, live]).min(initial=np.inf), sq_sums[:, live].min(initial=np.inf))
+            if min(np.abs(nk).min(), smallest) >= EXACT_SUMS_ABOVE:
                 break
         empty = nk <= 0.0
         nk_safe = np.where(empty, 1.0, nk)

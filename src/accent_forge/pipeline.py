@@ -42,11 +42,10 @@ from .corpus import (
     VOWELS,
     ManifestEntry,
     extract_vowel_frames,
-    filter_by_confidence,
     parse_alignment,
     parse_manifest,
+    remap_segments,
     split_dataset,
-    vad_mask_to_alignment_time,
 )
 from .discriminant import (
     LabeledFeatures,
@@ -252,9 +251,7 @@ class _Run:
             raise DataError(f"{utt}: manifest has no alignment path (vowel mode needs one)")
         segments = parse_alignment(_resolve(self.manifest_dir, entry.alignment_path))
         _, mask = load_mask(self.root / "vad" / f"{utt}.mask")
-        remap = vad_mask_to_alignment_time(mask)
-        remapped = [remap.segment(s) for s in segments]
-        return [s for s in remapped if s is not None]
+        return remap_segments(mask, segments)
 
 
 def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: str) -> _Run:
@@ -378,7 +375,8 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     """Train one of the three model configurations and serialize it.
 
     One pass over the train utterances splits each one's model input into
-    row pools keyed (accent,), or (accent, vowel) in vowel-hlda mode.
+    row pools keyed (accent,), or (accent, vowel) in vowel-hlda mode, where
+    a vowel's pool takes the rows its column of the vowel table covers.
     """
     run = _open_run(manifest_path, cfg, out_dir, mode, "training")
     train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
@@ -397,13 +395,13 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     for entry, (accent, feats) in zip(run.parts["train"], train_feats):
         X = _model_input(feats, cfg, transform)
         if vowel:
-            segments = run.vowel_segments(entry)
-            rows = {(accent, v): extract_vowel_frames(X, segments, v) for v in VOWELS}
+            table = extract_vowel_frames(X, run.vowel_segments(entry))
+            rows = {(accent, v): X.values[~np.isnan(table[:, j])] for j, v in enumerate(VOWELS)}
         else:
-            rows = {(accent,): X}
-        for key, f in rows.items():
-            if f.n_frames:
-                blocks.setdefault(key, []).append(f.values)
+            rows = {(accent,): X.values}
+        for key, values in rows.items():
+            if values.shape[0]:
+                blocks.setdefault(key, []).append(values)
     if vowel:
         model_set = _train_vowel(run, blocks, transform)
     else:
@@ -429,17 +427,18 @@ def _train_vowel(run: _Run, blocks, transform: LinearTransform) -> VowelModelSet
     frame_counts = {v: sum(pools[(lab, v)].shape[0] for lab in labels) for v in usable_vowels}
     all_vowel_set = VowelModelSet(labels, usable_vowels, vowel_weights(frame_counts, usable_vowels), models)
 
-    dev = [
-        (e.accent, _model_input(run.features(e), cfg, transform), run.vowel_segments(e))
-        for e in run.parts["dev"]
-    ]
+    dev, dev_segments = [], []
+    for e in run.parts["dev"]:
+        projected, segments = _model_input(run.features(e), cfg, transform), run.vowel_segments(e)
+        dev.append((e.accent, projected.values, extract_vowel_frames(projected, segments)))
+        dev_segments += segments
     memo: dict = {}  # shared by selection and every τ grid point
     subset = select_vowel_subset(
         _dev_scores(dev, all_vowel_set, usable_vowels, float("-inf"), memo),
         all_vowel_set, cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores,
     )
     weights = vowel_weights(frame_counts, subset)
-    tau = _tune_confidence_threshold(dev, all_vowel_set, subset, weights, cfg, memo)
+    tau = _tune_confidence_threshold(dev, dev_segments, all_vowel_set, subset, weights, cfg, memo)
     # the final set is the full one narrowed to the chosen subset
     return replace(
         all_vowel_set, subset=subset, weights=weights, confidence_tau=tau,
@@ -450,38 +449,36 @@ def _train_vowel(run: _Run, blocks, transform: LinearTransform) -> VowelModelSet
 def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
     """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
 
-    dev holds (accent, projected features, segments) per utterance. Only the
-    segments whose confidence clears tau count, and a vowel without kept
-    frames is left out. A vowel's rows depend only on the intervals of its
-    kept segments, so memo, keyed by (utterance index, vowel, kept
-    intervals), scores each such set once across every call that shares it.
+    dev holds (accent, projected rows, vowel table) per utterance. A vowel's
+    rows are those whose table entry is at least tau, and a vowel without
+    such rows is left out. As tau rises, one utterance's rows of one vowel
+    only lose members, so its row sets are nested and two of equal size are
+    equal: memo, keyed by (utterance index, vowel, row count), scores each
+    set once across every call that shares it.
     """
     table = []
-    for ui, (accent, projected, segments) in enumerate(dev):
-        kept, _ = filter_by_confidence(segments, tau)
+    for ui, (accent, rows, vowel_table) in enumerate(dev):
         scores = {}
         for v in vowels:
-            key = (ui, v, tuple((s.start, s.end) for s in kept if s.phone == v))
+            keep = vowel_table[:, VOWELS.index(v)] >= tau
+            key = (ui, v, int(np.count_nonzero(keep)))
             if key not in memo:
-                memo[key] = _score_vowel(model_set, v, extract_vowel_frames(projected, kept, v))
+                memo[key] = _score_vowel(model_set, v, rows[keep])
             if memo[key] is not None:
                 scores[v] = memo[key]
         table.append((accent, scores))
     return table
 
 
-def _tune_confidence_threshold(dev, model_set, subset, weights, cfg, memo: dict) -> float:
+def _tune_confidence_threshold(dev, segments, model_set, subset, weights, cfg, memo: dict) -> float:
     """Grid search over dev-confidence percentiles for the best filter threshold.
 
+    segments are the dev set's remapped segments; the grid holds -inf and
+    the deciles of the confidences of their scored subset-vowel segments.
     Every grid point scores the dev set through _dev_scores with the shared
     memo; max keeps the first of equals, so ties go to the lower threshold.
     """
-    confidences = [
-        s.confidence
-        for _, _, segments in dev
-        for s in segments
-        if s.phone in subset and s.confidence is not None
-    ]
+    confidences = [s.confidence for s in segments if s.phone in subset and s.confidence is not None]
     if not confidences:
         return float("-inf")
     grid = [float("-inf")] + sorted(
@@ -520,11 +517,13 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_e
         feats = run.features(entry)
         # a missing or damaged alignment or mask is a data error, as in training
         if vowel:
-            segments, _ = filter_by_confidence(run.vowel_segments(entry), model_set.confidence_tau)
+            segments = run.vowel_segments(entry)
         try:
             X = _model_input(feats, cfg, transform)
             if vowel:
-                per_vowel = {v: extract_vowel_frames(X, segments, v) for v in model_set.subset}
+                table = extract_vowel_frames(X, segments)
+                tau = model_set.confidence_tau
+                per_vowel = {v: X.values[table[:, VOWELS.index(v)] >= tau] for v in model_set.subset}
                 result = classify_vowel(model_set, per_vowel, cfg.frame_normalized_vowel_scores)
             else:
                 result = classify_baseline(model_set, X)

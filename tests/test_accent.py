@@ -17,11 +17,12 @@ from accent_forge.accent import (
     vowel_weights,
 )
 from accent_forge.config import default_config
-from accent_forge.corpus import VOWELS, AlignmentSegment, extract_vowel_frames, filter_by_confidence
+from accent_forge.corpus import VOWELS, AlignmentSegment, extract_vowel_frames
 from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import FeatureMatrix
 from accent_forge.gmm import EmOptions, GmmModel, em_fit, mixture_log_likelihood
 from accent_forge.pipeline import _dev_scores, _tune_confidence_threshold
+from alignment_reference import reference_filter_by_confidence, reference_vowel_rows
 from gmm_reference import reference_frame_log_likelihoods
 
 
@@ -196,6 +197,20 @@ def vowel_set_for(labels, vowels, model_fn, weights=None):
     return VowelModelSet(list(labels), list(vowels), weights, models)
 
 
+@pytest.mark.parametrize("weights, tau", [
+    ({"aa": float("nan"), "iy": 1.0}, float("-inf")),
+    ({"aa": float("inf"), "iy": 1.0}, float("-inf")),
+    ({"aa": -0.5, "iy": 1.5}, float("-inf")),
+    ({"iy": 1.0}, float("-inf")),  # no weight for aa
+    ({"aa": 0.5, "iy": 0.5}, float("nan")),
+])
+def test_vowel_set_rejects_non_finite_or_missing_weights_and_nan_tau(weights, tau):
+    models = {(lab, v): single_gaussian(0.0) for lab in "AB" for v in ("aa", "iy")}
+    VowelModelSet(["A", "B"], ["aa", "iy"], {"aa": 0.0, "iy": 1.0}, models, confidence_tau=float("-inf"))
+    with pytest.raises(ValueError):
+        VowelModelSet(["A", "B"], ["aa", "iy"], weights, models, confidence_tau=tau)
+
+
 class TestClassifyVowel:
     def test_single_vowel_collapses_to_baseline(self):
         rng = np.random.default_rng(8)
@@ -279,9 +294,8 @@ class TestClassifyVowel:
 
 
 def segment_dev(dev):
-    """(accent, projected, segments) per utterance, as vowel training holds its dev
-    split: the vowel rows laid end to end at a 10 ms hop, one unscored segment per
-    vowel with rows."""
+    """(accent, projected, segments) per utterance: the vowel rows laid end to
+    end at a 10 ms hop, one unscored segment per vowel with rows."""
     out = []
     for true, per_vowel in dev:
         blocks, segments, t = [], [], 0
@@ -295,9 +309,36 @@ def segment_dev(dev):
     return out
 
 
+def table_dev(segment_lists):
+    """(accent, projected rows, vowel table) per utterance, as vowel training
+    holds its dev split."""
+    return [(true, f.values, extract_vowel_frames(f, segments)) for true, f, segments in segment_lists]
+
+
+def all_segments(segment_lists):
+    return [s for _, _, segments in segment_lists for s in segments]
+
+
 def dev_table(dev, models):
     """select_vowel_subset's input, built the way vowel training builds it."""
-    return _dev_scores(segment_dev(dev), models, models.subset, float("-inf"), {})
+    return _dev_scores(table_dev(segment_dev(dev)), models, models.subset, float("-inf"), {})
+
+
+def interval_keyed_dev_scores(segment_lists, model_set, vowels, tau, memo):
+    """_dev_scores from segments: a vowel's rows are extracted per vowel from
+    the segments that clear tau, and memo is keyed by their intervals."""
+    table = []
+    for ui, (true, projected, segments) in enumerate(segment_lists):
+        kept, _ = reference_filter_by_confidence(segments, tau)
+        scores = {}
+        for v in vowels:
+            key = (ui, v, tuple((s.start, s.end) for s in kept if s.phone == v))
+            if key not in memo:
+                memo[key] = accent._score_vowel(model_set, v, reference_vowel_rows(projected, kept, v))
+            if memo[key] is not None:
+                scores[v] = memo[key]
+        table.append((true, scores))
+    return table
 
 
 class TestSelectVowelSubset:
@@ -404,8 +445,7 @@ def naive_tune_confidence_threshold(dev_segment_lists, model_set, subset, weight
     for tau in grid:
         correct = 0
         for true, projected, segments in dev_segment_lists:
-            kept, _ = filter_by_confidence(segments, tau)
-            per_vowel = {v: extract_vowel_frames(projected, kept, v) for v in subset}
+            per_vowel = {v: reference_vowel_rows(projected, segments, v, tau) for v in subset}
             try:
                 correct += classify_vowel(trial, per_vowel, frame_normalized).predicted == true
             except DataError:
@@ -519,7 +559,7 @@ class TestCachedVowelScoring:
             1 for _, per_vowel in dev for v, X in per_vowel.items()
             if v in vowels and np.asarray(X).shape[0] > 0
         )
-        dev, memo = segment_dev(dev), {}
+        dev, memo = table_dev(segment_dev(dev)), {}
         table = _dev_scores(dev, vset, vset.subset, float("-inf"), memo)
         assert sum(calls.values()) == present * len(labels)
         # selection only fuses the table, and a rebuild from the same memo scores nothing
@@ -533,9 +573,9 @@ class TestCachedVowelScoring:
     def test_tau_tuning_matches_naive_reference(self, seed, frame_normalized):
         dev_segment_lists, vset, subset, weights = tau_case(seed)
         cfg = replace(default_config(), frame_normalized_vowel_scores=frame_normalized)
-        memo = {}  # filled by the selection table first, as in vowel training
-        _dev_scores(dev_segment_lists, vset, vset.subset, float("-inf"), memo)
-        tau = _tune_confidence_threshold(dev_segment_lists, vset, subset, weights, cfg, memo)
+        dev, memo = table_dev(dev_segment_lists), {}  # memo filled by the selection table first
+        _dev_scores(dev, vset, vset.subset, float("-inf"), memo)
+        tau = _tune_confidence_threshold(dev, all_segments(dev_segment_lists), vset, subset, weights, cfg, memo)
         assert tau == naive_tune_confidence_threshold(
             dev_segment_lists, vset, subset, weights, frame_normalized
         )
@@ -543,9 +583,28 @@ class TestCachedVowelScoring:
     def test_tau_cases_reach_several_grid_points(self):
         # the equivalence cases only tell something if they pick different τ
         cfg = default_config()
-        picked = {_tune_confidence_threshold(*tau_case(seed), cfg, {}) for seed in range(10)}
+        picked = set()
+        for seed in range(10):
+            lists, vset, subset, weights = tau_case(seed)
+            picked.add(_tune_confidence_threshold(table_dev(lists), all_segments(lists), vset, subset, weights,
+                                                  cfg, {}))
         assert len(picked) >= 3
         assert float("-inf") in picked
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_count_memo_keys_match_interval_keys(self, seed):
+        # one utterance's kept rows of one vowel are nested in τ, so a row
+        # count names a row set as well as the kept intervals do
+        dev_segment_lists, vset, _, _ = tau_case(seed)
+        dev = table_dev(dev_segment_lists)
+        confidences = sorted({s.confidence for s in all_segments(dev_segment_lists) if s.confidence is not None})
+        grid = [float("-inf"), *confidences, 0.5]
+        by_count, by_interval = {}, {}
+        for tau in grid + grid[::-1]:
+            assert _dev_scores(dev, vset, vset.subset, tau, by_count) == interval_keyed_dev_scores(
+                dev_segment_lists, vset, vset.subset, tau, by_interval
+            )
+        assert len(by_count) <= len(by_interval)
 
 
 def tau_case(seed):

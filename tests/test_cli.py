@@ -24,12 +24,9 @@ from accent_forge.config import (
 )
 from accent_forge.corpus import (
     VOWELS,
-    extract_vowel_frames,
-    filter_by_confidence,
     parse_alignment,
     parse_manifest,
     split_dataset,
-    vad_mask_to_alignment_time,
 )
 from accent_forge.discriminant import (
     LabeledFeatures,
@@ -49,6 +46,12 @@ from accent_forge.report import (
 )
 from accent_forge.synth import generate_corpus, synthesize_utterance
 from accent_forge import accent, discriminant, pipeline, vad
+from alignment_reference import (
+    reference_filter_by_confidence,
+    reference_remap_segments,
+    reference_vowel_mask,
+    reference_vowel_rows,
+)
 from test_readers import MUTATION, mutate
 
 FULL_CONFIG = """\
@@ -797,10 +800,23 @@ def test_mutated_transform_cache_reuses_or_refits(cached_transform, damage):
         assert record["transform_sha256"] == hashlib.sha256(lin).hexdigest()
 
 
+def reference_segments(manifest, ws, entry):
+    """entry's alignment moved onto silence-removed time one segment at a time."""
+    mask = vad.load_mask(ws / "vad" / f"{entry.utterance_id}.mask")[1]
+    return reference_remap_segments(mask, parse_alignment(manifest.parent / entry.alignment_path))
+
+
+def reference_projection(ws, cfg, entry):
+    """entry's archived features, context-expanded and projected by the vowel models' transform."""
+    feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+    transform = load_transform(ws / "models-vowel-hlda" / "transform.lin")
+    return feats, discriminant.project(transform, context_expand(feats, cfg.context_size))
+
+
 def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatch):
     """Over all of vowel-hlda training, the vowel models score each distinct
-    (dev utterance, vowel, kept intervals) once per accent: subset selection
-    and every τ grid point read one shared table."""
+    (dev utterance, vowel, kept rows) once per accent: subset selection and
+    every τ grid point read one shared table."""
     manifest, cfg, prepared = shared_ws
     ws = fresh_workspace(prepared, tmp_path)
     tables = []
@@ -815,13 +831,18 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
     monkeypatch.setattr(accent, "mixture_log_likelihood", lambda m, X: calls.append(1) or real_score(m, X))
     pipeline.cmd_train(manifest, cfg, ws, "vowel-hlda")
 
+    _, dev_entries = split_ids(manifest, cfg, "dev")
+    utterances = [(reference_projection(ws, cfg, e)[1], reference_segments(manifest, ws, e)) for e in dev_entries]
     keys = set()
     for dev, vowels, tau in tables:
-        for ui, (_, projected, segments) in enumerate(dev):
-            kept, _ = filter_by_confidence(segments, tau)
+        assert len(dev) == len(utterances)
+        for ui, ((_, rows, _), (projected, segments)) in enumerate(zip(dev, utterances)):
+            assert np.array_equal(rows, projected.values)
+            kept, _ = reference_filter_by_confidence(segments, tau)
             for v in vowels:
-                if extract_vowel_frames(projected, kept, v).n_frames:
-                    keys.add((ui, v, tuple((s.start, s.end) for s in kept if s.phone == v)))
+                frames = np.flatnonzero(reference_vowel_mask(projected, kept, v))
+                if frames.size:
+                    keys.add((ui, v, tuple(frames)))
     assert len(tables) > 2  # the selection table and at least two τ grid points
     assert tables[0][2] == float("-inf") and tables[1][2] == float("-inf")
     assert len(calls) == len(keys) * len(parse_manifest(manifest).inventory)
@@ -1086,18 +1107,13 @@ def test_every_model_is_seeded_by_inventory_and_vowel_index(shared_ws, tmp_path)
     ws = fresh_workspace(prepared, tmp_path)
     for mode in ("baseline-plp", "vowel-hlda"):
         pipeline.cmd_train(reordered, cfg, ws, mode)
-    transform = load_transform(ws / "models-vowel-hlda" / "transform.lin")
     blocks = {}
     for entry in train:
-        feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+        feats, projected = reference_projection(ws, cfg, entry)
         blocks.setdefault((entry.accent,), []).append(feats.values)
-        projected = discriminant.project(transform, context_expand(feats, cfg.context_size))
-        remap = vad_mask_to_alignment_time(vad.load_mask(ws / "vad" / f"{entry.utterance_id}.mask")[1])
-        segments = [remap.segment(s) for s in parse_alignment(entry.alignment_path)]
+        segments = reference_segments(reordered, ws, entry)
         for v in VOWELS:
-            blocks.setdefault((entry.accent, v), []).append(
-                extract_vowel_frames(projected, [s for s in segments if s is not None], v).values
-            )
+            blocks.setdefault((entry.accent, v), []).append(reference_vowel_rows(projected, segments, v))
 
     checked = 0
     for mode in ("baseline-plp", "vowel-hlda"):

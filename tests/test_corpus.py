@@ -5,16 +5,22 @@ from accent_forge.corpus import (
     VOWELS,
     AlignmentSegment,
     extract_vowel_frames,
-    filter_by_confidence,
     parse_alignment,
     parse_manifest,
+    remap_segments,
     split_dataset,
-    vad_mask_to_alignment_time,
     write_alignment,
 )
 from accent_forge.errors import DataError
 from accent_forge.features import FeatureMatrix
 from accent_forge.vad import SpeechMask
+from alignment_reference import (
+    reference_filter_by_confidence,
+    reference_remap_segments,
+    reference_time,
+    reference_vowel_mask,
+    reference_vowel_rows,
+)
 
 
 def test_vowel_inventory():
@@ -167,33 +173,52 @@ class TestParseAlignment:
         assert path.read_bytes() == blob
 
 
+def vowel_rows(f, segments, vowel, tau=float("-inf")):
+    """Rows of f that vowel's column of the vowel table keeps at tau."""
+    return f.values[extract_vowel_frames(f, segments)[:, VOWELS.index(vowel)] >= tau]
+
+
 class TestFilterByConfidence:
+    """Confidence filtering is a comparison on the vowel table's columns."""
+
     def test_minus_inf_identity(self):
+        f = feature_matrix(300)
         segments = [
             AlignmentSegment(0, 1, "aa", -3.0),
             AlignmentSegment(1, 2, "iy"),
         ]
-        kept, dropped = filter_by_confidence(segments, float("-inf"))
+        kept, dropped = reference_filter_by_confidence(segments, float("-inf"))
         assert kept == segments and dropped == 0
+        # centres at 12.5 + 10 i ms: [0, 1) s holds frames 0..98, [1, 2) s frames 99..198
+        for v, n in (("aa", 99), ("iy", 100)):
+            rows = vowel_rows(f, segments, v)
+            assert rows.shape[0] == n
+            assert np.array_equal(rows, f.values[reference_vowel_mask(f, segments, v)])
 
     def test_threshold(self):
+        f = feature_matrix(300)
         segments = [
             AlignmentSegment(0, 1, "aa", -1.0),
             AlignmentSegment(1, 2, "iy", -3.0),
             AlignmentSegment(2, 3, "uw", -5.0),
         ]
-        kept, dropped = filter_by_confidence(segments, -3.0)
+        kept, dropped = reference_filter_by_confidence(segments, -3.0)
         assert [s.phone for s in kept] == ["aa", "iy"] and dropped == 1
+        assert [vowel_rows(f, segments, v, -3.0).shape[0] for v in ("aa", "iy", "uw")] == [99, 100, 0]
 
     def test_unscored_dropped_at_finite_threshold(self):
+        f = feature_matrix(300)
         segments = [AlignmentSegment(0, 1, "aa")]
-        kept, dropped = filter_by_confidence(segments, -10.0)
+        kept, dropped = reference_filter_by_confidence(segments, -10.0)
         assert kept == [] and dropped == 1
+        assert vowel_rows(f, segments, "aa", -10.0).shape[0] == 0
 
     def test_all_below(self):
+        f = feature_matrix(300)
         segments = [AlignmentSegment(0, 1, "aa", -9.0)]
-        kept, dropped = filter_by_confidence(segments, 0.0)
+        kept, dropped = reference_filter_by_confidence(segments, 0.0)
         assert kept == [] and dropped == 1
+        assert vowel_rows(f, segments, "aa", 0.0).shape[0] == 0
 
 
 def feature_matrix(n_frames=40, dims=2, start_ms=12.5, hop_ms=10.0):
@@ -207,20 +232,22 @@ class TestExtractVowelFrames:
         # frame centers at 12.5 + 10 i ms; centers of frames 10..19 lie in
         # [0.1125, 0.2075), so this segment holds exactly those ten
         segments = [AlignmentSegment(0.1125, 0.2075, "aa")]
-        out = extract_vowel_frames(f, segments, "aa")
-        assert np.array_equal(out.values, f.values[10:20])
+        table = extract_vowel_frames(f, segments)
+        assert table.shape == (40, len(VOWELS))
+        assert np.array_equal(vowel_rows(f, segments, "aa"), f.values[10:20])
+        column = table[:, VOWELS.index("aa")]
+        assert np.all(column[10:20] == float("-inf")) and np.isnan(np.delete(column, range(10, 20))).all()
 
     def test_no_segments(self):
         f = feature_matrix()
-        out = extract_vowel_frames(f, [AlignmentSegment(0, 1, "iy")], "aa")
-        assert out.n_frames == 0
+        assert vowel_rows(f, [AlignmentSegment(0, 1, "iy")], "aa").shape[0] == 0
+        assert np.isnan(extract_vowel_frames(f, [])).all()
 
     def test_center_at_end_excluded(self):
         f = feature_matrix()
         # center of frame 5 is exactly 62.5 ms; a segment ending there excludes it
         segments = [AlignmentSegment(0.0325, 0.0625, "aa")]
-        out = extract_vowel_frames(f, segments, "aa")
-        assert np.array_equal(out.values, f.values[2:5])
+        assert np.array_equal(vowel_rows(f, segments, "aa"), f.values[2:5])
 
     def test_randomized_matches_interval_oracle(self):
         rng = np.random.default_rng(20)
@@ -230,13 +257,15 @@ class TestExtractVowelFrames:
             start = float(rng.uniform(0, 0.5))
             end = start + float(rng.uniform(0.01, 0.3))
             segs = [AlignmentSegment(start, end, "aa"), AlignmentSegment(0.05, 0.1, "iy")]
-            out = extract_vowel_frames(f, segs, "aa")
             oracle = [i for i, c in enumerate(centers) if start <= c < end]
-            assert np.array_equal(out.values, f.values[oracle])
+            assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[oracle])
 
     def test_unknown_vowel_rejected(self):
+        # a phone outside the inventory labels no column
+        f = feature_matrix()
+        assert np.isnan(extract_vowel_frames(f, [AlignmentSegment(0, 1, "zz")])).all()
         with pytest.raises(ValueError):
-            extract_vowel_frames(feature_matrix(), [], "zz")
+            reference_vowel_mask(f, [], "zz")
 
     def test_partition_over_nonoverlapping_alignment(self):
         f = feature_matrix(50)
@@ -245,10 +274,60 @@ class TestExtractVowelFrames:
         for i, v in enumerate(VOWELS):
             segs.append(AlignmentSegment(t, t + 0.03, v))
             t += 0.03
-        counts = sum(extract_vowel_frames(f, segs, v).n_frames for v in VOWELS)
+        counts = np.count_nonzero(~np.isnan(extract_vowel_frames(f, segs)))
         centers = f.frame_centers_s()
         inside = np.count_nonzero((centers >= 0.0) & (centers < t))
         assert counts == inside
+
+    def test_overlapping_vowels_share_frames(self):
+        f = feature_matrix()
+        # frames 5..14 in aa, 10..19 in iy: frames 10..14 are in both columns
+        segs = [AlignmentSegment(0.0575, 0.1575, "aa"), AlignmentSegment(0.1075, 0.2075, "iy")]
+        assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[5:15])
+        assert np.array_equal(vowel_rows(f, segs, "iy"), f.values[10:20])
+
+    def test_overlapping_segments_of_one_vowel_keep_the_best_confidence(self):
+        f = feature_matrix()
+        # frames 5..14 at -5 and 10..19 at -1: each frame takes its best segment
+        segs = [AlignmentSegment(0.0575, 0.1575, "aa", -5.0), AlignmentSegment(0.1075, 0.2075, "aa", -1.0)]
+        column = extract_vowel_frames(f, segs)[:, VOWELS.index("aa")]
+        assert np.array_equal(column[5:20], [-5.0] * 5 + [-1.0] * 10)
+        assert np.array_equal(vowel_rows(f, segs, "aa", -3.0), f.values[10:20])
+        assert vowel_rows(f, segs, "aa", 0.0).shape[0] == 0
+        assert np.array_equal(vowel_rows(f, segs, "aa", -5.0), f.values[5:20])
+
+    def test_unscored_segment_is_kept_only_at_minus_inf(self):
+        f = feature_matrix()
+        segs = [AlignmentSegment(0.0575, 0.1575, "aa")]
+        assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[5:15])
+        for tau in (-1e300, -3.0, 0.0):
+            assert vowel_rows(f, segs, "aa", tau).shape[0] == 0
+
+    @pytest.mark.parametrize("start_ms, hop_ms", [(12.5, 10.0), (805.0, -10.0), (400.0, 0.0)])
+    def test_randomized_table_matches_per_vowel_reference(self, start_ms, hop_ms):
+        # frame timing is read from the archive as is: centres need not ascend
+        rng = np.random.default_rng(22)
+        f = feature_matrix(80, start_ms=start_ms, hop_ms=hop_ms)
+        phones = ["aa", "iy", "uw", "t"]
+        for _ in range(20):
+            segs = []
+            for _ in range(int(rng.integers(0, 9))):
+                start = float(rng.uniform(0, 0.8))
+                confidence = None if rng.random() < 0.3 else float(np.round(rng.uniform(-4, 0), 1))
+                segs.append(AlignmentSegment(start, start + float(rng.uniform(0.005, 0.2)),
+                                             phones[int(rng.integers(4))], confidence))
+            table = extract_vowel_frames(f, segs)
+            for tau in (float("-inf"), -4.0, -2.5, -1.0, 0.0):
+                for v in VOWELS:
+                    rows = f.values[table[:, VOWELS.index(v)] >= tau]
+                    assert np.array_equal(rows, reference_vowel_rows(f, segs, v, tau)), (v, tau)
+
+
+def remapped_time(mask, t):
+    """The original time t > 0 moved onto silence-removed time: the end of
+    the remapped segment [0, t), or 0 when that keeps nothing."""
+    out = remap_segments(mask, [AlignmentSegment(0.0, t, "aa")])
+    return out[0].end if out else 0.0
 
 
 class TestTimeRemap:
@@ -256,36 +335,31 @@ class TestTimeRemap:
         return SpeechMask(np.array(keep, dtype=bool), 400, 200, 8000)  # 25 ms hop
 
     def test_identity(self):
-        remap = vad_mask_to_alignment_time(self.mask([True] * 40))
-        seg = AlignmentSegment(0.1, 0.5, "aa")
-        out = remap.segment(seg)
+        [out] = remap_segments(self.mask([True] * 40), [AlignmentSegment(0.1, 0.5, "aa")])
         assert out.start == pytest.approx(0.1, abs=1e-12)
         assert out.end == pytest.approx(0.5, abs=1e-12)
 
     def test_leading_removal_shifts(self):
         keep = [False] * 40 + [True] * 40  # first second removed
-        remap = vad_mask_to_alignment_time(self.mask(keep))
-        out = remap.segment(AlignmentSegment(1.0, 1.5, "aa"))
+        [out] = remap_segments(self.mask(keep), [AlignmentSegment(1.0, 1.5, "aa")])
         assert out.start == pytest.approx(0.0, abs=1e-9)
         assert out.end == pytest.approx(0.5, abs=1e-9)
 
     def test_segment_inside_removed_region_vanishes(self):
         keep = [True] * 10 + [False] * 20 + [True] * 10
-        remap = vad_mask_to_alignment_time(self.mask(keep))
-        assert remap.segment(AlignmentSegment(0.3, 0.6, "aa")) is None
+        assert remap_segments(self.mask(keep), [AlignmentSegment(0.3, 0.6, "aa")]) == []
 
     def test_partial_overlap_clipped(self):
         keep = [True] * 10 + [False] * 10 + [True] * 20
-        remap = vad_mask_to_alignment_time(self.mask(keep))
-        out = remap.segment(AlignmentSegment(0.2, 0.6, "aa"))
+        [out] = remap_segments(self.mask(keep), [AlignmentSegment(0.2, 0.6, "aa", -2.0)])
         # kept overlap is [0.2, 0.25) plus [0.5, 0.6): 0.15 s starting at 0.2
         assert out.start == pytest.approx(0.2, abs=1e-9)
         assert out.end == pytest.approx(0.35, abs=1e-9)
+        assert (out.phone, out.confidence) == ("aa", -2.0)
 
     def test_segment_starting_in_removed_region_clipped(self):
         keep = [False] * 10 + [True] * 30
-        remap = vad_mask_to_alignment_time(self.mask(keep))
-        out = remap.segment(AlignmentSegment(0.1, 0.5, "aa"))
+        [out] = remap_segments(self.mask(keep), [AlignmentSegment(0.1, 0.5, "aa")])
         # the first 0.25 s of the segment lies in removed audio
         assert out.start == pytest.approx(0.0, abs=1e-9)
         assert out.end == pytest.approx(0.25, abs=1e-9)
@@ -293,11 +367,27 @@ class TestTimeRemap:
     def test_monotone_and_duration(self):
         rng = np.random.default_rng(21)
         keep = rng.random(60) > 0.4
-        remap = vad_mask_to_alignment_time(self.mask(keep))
-        times = np.linspace(0, 60 * 0.025, 300)
-        mapped = [remap.time(t) for t in times]
+        mask = self.mask(keep)
+        times = np.linspace(0, 60 * 0.025, 300)[1:]
+        mapped = [remapped_time(mask, t) for t in times]
         assert np.all(np.diff(mapped) >= -1e-12)
-        assert remap.time(1e9) == pytest.approx(keep.sum() * 0.025, abs=1e-9)
+        assert remapped_time(mask, 1e9) == pytest.approx(keep.sum() * 0.025, abs=1e-9)
+        assert mapped == [reference_time(mask, t) if reference_time(mask, t) > 1e-9 else 0.0 for t in times]
+
+    def test_matches_per_segment_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            keep = rng.random(int(rng.integers(1, 80))) > rng.uniform(0.0, 0.9)
+            mask = self.mask(keep)
+            segs = []
+            for _ in range(int(rng.integers(0, 12))):
+                start = float(rng.uniform(0, 2.2))
+                segs.append(AlignmentSegment(start, start + float(rng.uniform(1e-10, 0.4)), "aa",
+                                             None if trial % 2 else float(rng.uniform(-3, 0))))
+            assert remap_segments(mask, segs) == reference_remap_segments(mask, segs)
+
+    def test_mask_that_keeps_nothing_drops_every_segment(self):
+        assert remap_segments(self.mask([False] * 8), [AlignmentSegment(0.0, 0.1, "aa")]) == []
 
 
 def test_alignment_segment_validation():

@@ -562,6 +562,22 @@ def test_m_step_falls_back_to_exact_responsibilities(monkeypatch, case, taken):
     assert bool(redone) == taken
 
 
+@pytest.mark.parametrize("column", [2, -1])
+def test_all_zero_column_takes_no_exact_redo(monkeypatch, column):
+    # a column of zeros (here +0.0 or -0.0) gives sums of exactly 0 on the
+    # flushed and the exact path alike, so it must not send every M-step
+    # down the exact path
+    X = np.random.default_rng(25).standard_normal((2000, 5))
+    X[:, 2] = 0.0 if column > 0 else -0.0
+    opts = EmOptions(seed=0, max_iters=50, rel_tol=1e-300)
+    seen = spy_on_exp_thresholds(monkeypatch)
+    model, trace = em_fit(X, 16, opts)
+    monkeypatch.undo()
+    assert len(trace) == 51
+    assert [threshold for threshold, _ in seen] == [EXP_CLAMP] * 50
+    assert_same_bytes(model, trace, *reference_em_fit(X, 16, opts))
+
+
 def count_lloyd_iterations(monkeypatch):
     """Count the member-mean updates of _kmeans, one per Lloyd iteration."""
     calls = []

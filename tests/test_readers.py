@@ -103,6 +103,8 @@ DAMAGED = {
     "model_set-tau_in_baseline": b"ACMSET1 baseline\nfingerprint -\ntau 0.5\n",
     "model_set-subset_in_baseline": b"ACMSET1 baseline\nfingerprint -\nsubset aa\n",
     "model_set-weight_in_baseline": b"ACMSET1 baseline\nfingerprint -\nweight aa 1.0\n",
+    "model_set-nan_weight": b"ACMSET1 vowel\nfingerprint -\ntau -inf\nsubset aa\nweight aa nan\n",
+    "model_set-nan_tau": b"ACMSET1 vowel\nfingerprint -\ntau nan\nsubset aa\nweight aa 1.0\n",
     # a 16-bit stereo sample frame is 4 bytes; these end inside the last one
     "audio-last_3_bytes_cut": stereo_wav()[:-3],
     "audio-last_2_bytes_cut": stereo_wav()[:-2],
