@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .corpus import VOWELS
 from .errors import ConsistencyError, DataError
 from .gmm import (EmOptions, GmmModel, PreparedFrames, as_values, em_fit, load_gmm, mixture_log_likelihood,
@@ -273,10 +274,6 @@ def select_vowel_subset(
 MODELSET_MAGIC = "ACMSET1"
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # the lines of each manifest kind, in file order: tag -> fields after the tag (0: one or more)
 _MANIFEST_LINES = {
     "baseline": {"fingerprint": 1, "transform": 2, "gmm": 3},
@@ -299,7 +296,7 @@ def save_model_set(out_dir, model_set) -> Path:
              f"fingerprint {model_set.fingerprint or '-'}"]
     if model_set.transform_ref:
         ref = model_set.transform_ref
-        lines.append(f"transform {ref} {_sha256(out_dir / ref)}")
+        lines.append(f"transform {ref} {records.sha256(out_dir / ref)}")
     if vowel:
         lines += [f"tau {model_set.confidence_tau!r}", "subset " + " ".join(model_set.subset)]
         lines += [f"weight {v} {model_set.weights[v]!r}" for v in model_set.subset]
@@ -307,7 +304,7 @@ def save_model_set(out_dir, model_set) -> Path:
         for key in [(lab, v) for v in model_set.subset] if vowel else [(lab,)]:
             rel = f"models/{'_'.join(key)}.gmm"
             save_gmm(out_dir / rel, model_set.models[key if vowel else lab])
-            lines.append(f"gmm {' '.join(key)} {rel} {_sha256(out_dir / rel)}")
+            lines.append(f"gmm {' '.join(key)} {rel} {records.sha256(out_dir / rel)}")
     manifest = out_dir / "modelset.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
@@ -317,12 +314,7 @@ def load_model_set(in_dir):
     """Read a model set directory, verifying each file's recorded SHA-256."""
     in_dir = Path(in_dir)
     manifest = in_dir / "modelset.txt"
-    if not manifest.exists():
-        raise DataError(f"{manifest}: model set manifest not found")
-    try:
-        lines = manifest.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{manifest}: not UTF-8 text (byte {exc.start})") from None
+    lines = records.read_text(manifest, "model set manifest").splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != MODELSET_MAGIC or header[1] not in _MANIFEST_LINES:
         raise DataError(f"{manifest}: not an {MODELSET_MAGIC} baseline or vowel manifest")
@@ -353,7 +345,7 @@ def load_model_set(in_dir):
             path = in_dir / fields[-2]
             if not path.is_file():
                 raise DataError(f"{path}: listed in {manifest} but missing")
-            if _sha256(path) != fields[-1]:
+            if records.sha256(path) != fields[-1]:
                 raise ConsistencyError(f"{path}: SHA-256 mismatch (corrupt or substituted file)")
 
         if tag == "fingerprint":

@@ -4,16 +4,19 @@
                  --manifest PATH --config PATH --out DIR [--mode MODE] [--seed N]
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 consistency error.
+
+Matrix products round differently at different BLAS thread counts, so main
+sets each of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that
+is unset to 1 before numpy loads; a value set in the environment still wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
-from . import pipeline
-from .config import default_config, load_config
 from .errors import ConsistencyError, DataError, UsageError
 
 
@@ -25,6 +28,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .pipeline import MODES
+
     parser = _Parser(prog="accent-forge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_manifest, needs_mode in (
@@ -39,12 +44,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline configuration file")
         p.add_argument("--out", required=True, help="workspace directory")
         if needs_mode:
-            p.add_argument("--mode", required=True, choices=pipeline.MODES)
+            p.add_argument("--mode", required=True, choices=MODES)
         p.add_argument("--seed", type=int, help="override the [run] seed")
     return parser
 
 
 def main(argv=None) -> int:
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")  # before anything imports numpy
+    from . import pipeline
+    from .config import default_config, load_config
+
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:

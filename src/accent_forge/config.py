@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
+from . import records
 from .errors import DataError
 from .features import PlpConfig
 from .gmm import EmOptions
@@ -99,12 +100,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     """Read a '[section]' / 'key = value' file into a PipelineConfig."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: config file not found")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from None
+        parser.read_string(records.read_text(path, "config file"), source=str(path))
     except configparser.Error as exc:
         raise DataError(f"{path}: cannot parse config: {exc}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .errors import DataError
 from .features import FeatureMatrix
 from .vad import SpeechMask
@@ -66,7 +67,7 @@ class AlignmentSegment:
 
 
 def parse_manifest(path, inventory: list[str] | None = None) -> Manifest:
-    """Parse TAB-separated lines: id, audio path, accent, optional alignment path.
+    """Parse TAB-separated lines: id (no whitespace), audio path, accent, optional alignment path.
 
     Lines starting with '#' and blank lines are ignored. When inventory is
     given, labels outside it are rejected; otherwise the inventory is the
@@ -75,20 +76,12 @@ def parse_manifest(path, inventory: list[str] | None = None) -> Manifest:
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     found: list[str] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except FileNotFoundError:
-        raise DataError(f"{path}: manifest not found")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: manifest is not UTF-8 text (byte {exc.start})") from None
-
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(records.read_text(path, "manifest").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in (3, 4) or any(not f for f in fields[:3]):
+        if len(fields) not in (3, 4) or fields[0].split() != [fields[0]] or not all(fields[1:3]):
             raise DataError(f"{path}:{lineno}: malformed manifest line: {line!r}")
         utt, audio_path, accent = fields[:3]
         alignment = fields[3] if len(fields) == 4 and fields[3] else None
@@ -158,15 +151,7 @@ def parse_alignment(path) -> list[AlignmentSegment]:
     and blank lines are ignored. Overlapping segments are legal.
     """
     segments: list[AlignmentSegment] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except FileNotFoundError:
-        raise DataError(f"{path}: alignment file not found")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: alignment file is not UTF-8 text (byte {exc.start})") from None
-
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(records.read_text(path, "alignment file").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

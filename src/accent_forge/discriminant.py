@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import DataError
 from .features import FeatureMatrix
 
@@ -314,28 +315,18 @@ TRANSFORM_MAGIC = "ACHLDA1"
 def save_transform(path, t: LinearTransform) -> None:
     """Write 'ACHLDA1 kind rows cols retained' plus the row-major float64 matrix."""
     with open(path, "wb") as fh:
-        rows, cols = t.matrix.shape
-        fh.write(f"{TRANSFORM_MAGIC} {t.kind} {rows} {cols} {t.retained}\n".encode("utf-8"))
-        fh.write(np.ascontiguousarray(t.matrix, dtype="<f8").tobytes())
+        records.write_record(fh, TRANSFORM_MAGIC, [t.kind, *t.matrix.shape, t.retained], t.matrix)
 
 
 def load_transform(path) -> LinearTransform:
     """Read a transform written by save_transform; any damage is a DataError
     naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        magic, kind, rows, cols, retained = header.decode("ascii").split()
-        rows, cols, retained = int(rows), int(cols), int(retained)
-    except ValueError:  # also a non-ASCII header or the wrong field count
-        raise DataError(f"{path}: not an ACHLDA1 file") from None
-    if magic != TRANSFORM_MAGIC or rows < 1 or cols < 1:
-        raise DataError(f"{path}: not an ACHLDA1 file")
-    expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise DataError(f"{path}: ACHLDA1 payload of {len(payload)} bytes, expected {expected}")
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        kind, rows, cols, retained = records.read_header(fh, path, TRANSFORM_MAGIC, str, int, int, int)
+        if rows < 1 or cols < 1:
+            raise DataError(f"{path}: an ACHLDA1 matrix of {rows} x {cols}")
+        matrix = records.read_floats(fh, path, TRANSFORM_MAGIC, rows, cols)
+        records.read_end(fh, path, TRANSFORM_MAGIC)
     try:
         return LinearTransform(kind, matrix, retained)
     except ValueError as exc:

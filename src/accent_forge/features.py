@@ -9,11 +9,12 @@ least-squares slope estimates over a symmetric window.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .audio import AudioBuffer, frame_signal
 from .errors import DataError
 
@@ -281,39 +282,20 @@ def write_feature_archive(path, matrices) -> None:
     """Write feature matrices as ACFEAT1 records (UTF-8 header + float64 LE rows)."""
     with open(path, "wb") as fh:
         for m in matrices:
-            if not m.utterance_id or any(ch.isspace() for ch in m.utterance_id):
-                raise ValueError(f"bad utterance id for archiving: {m.utterance_id!r}")
-            header = (
-                f"{FEATURE_MAGIC} {m.utterance_id} {m.dims} {m.n_frames} "
-                f"{m.start_ms!r} {m.hop_ms!r}\n"
-            )
-            fh.write(header.encode("utf-8"))
-            fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
+            fields = [m.utterance_id, m.dims, m.n_frames, repr(m.start_ms), repr(m.hop_ms)]
+            records.write_record(fh, FEATURE_MAGIC, fields, m.values)
 
 
 def read_feature_archive(path) -> list[FeatureMatrix]:
     """Read every ACFEAT1 record from an archive file."""
     out = []
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            try:  # ValueError also covers a non-UTF-8 header
-                magic, utt, dims, frames, start_ms, hop_ms = line.decode("utf-8").split()
-                dims, frames = int(dims), int(frames)
-                start_ms, hop_ms = float(start_ms), float(hop_ms)
-            except ValueError:
-                raise DataError(f"{path}: bad ACFEAT1 record header: {line!r}") from None
-            if magic != FEATURE_MAGIC or dims < 0 or frames < 0:
-                raise DataError(f"{path}: bad ACFEAT1 record header: {line!r}")
-            # a header may claim any size: read no further than the file goes
-            nbytes = dims * frames * 8
-            payload = fh.read(nbytes) if nbytes <= size - fh.tell() else b""
-            if len(payload) != nbytes:
-                raise DataError(f"{path}: truncated ACFEAT1 payload for {utt}")
-            values = np.frombuffer(payload, dtype="<f8").reshape(frames, dims).copy()
+        while fh.peek(1):
+            utt, dims, frames, start_ms, hop_ms = records.read_header(
+                fh, path, FEATURE_MAGIC, str, int, int, float, float)
+            if dims < 0 or frames < 0 or not (math.isfinite(start_ms) and 0.0 < hop_ms < math.inf):
+                raise DataError(f"{path}: bad ACFEAT1 header for {utt}: {dims} {frames} {start_ms} {hop_ms}")
+            values = records.read_floats(fh, path, FEATURE_MAGIC, frames, dims)
             try:
                 out.append(FeatureMatrix(values, utt, start_ms, hop_ms))
             except ValueError as exc:

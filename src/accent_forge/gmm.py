@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import DataError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -167,15 +168,19 @@ def _exp_in_place(a: np.ndarray, below: np.ndarray, threshold: float = EXP_ZERO_
 
 def _logsumexp_rows(z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of z; addends are sorted so the result is
-    order-invariant. work is a scratch array of z's shape."""
-    shift = z.max(axis=1, keepdims=True)
-    np.subtract(z, shift, out=work)
+    order-invariant. work is a scratch array of z's shape.
+
+    Each row is sorted before the shift, so its last entry is the shift;
+    shift, clamp and exp are monotone, so the addends stay sorted."""
+    np.copyto(work, z)
+    work.sort(axis=1)
+    shift = work[:, -1].copy()
+    np.subtract(work, shift[:, None], out=work)
     np.maximum(work, EXP_CLAMP, out=work)
     np.exp(work, out=work)
-    work.sort(axis=1)
     total = work.sum(axis=1)
     np.log(total, out=total)
-    total += shift[:, 0]
+    total += shift
     return total
 
 
@@ -397,31 +402,20 @@ GMM_MAGIC = "ACGMM1"
 def save_gmm(path, model: GmmModel) -> None:
     """Write a model as 'ACGMM1 N M' plus float64 LE weights, means, variances."""
     with open(path, "wb") as fh:
-        fh.write(f"{GMM_MAGIC} {model.n_components} {model.dims}\n".encode("utf-8"))
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.means, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.variances, dtype="<f8").tobytes())
+        records.write_record(fh, GMM_MAGIC, [model.n_components, model.dims],
+                             model.weights, model.means, model.variances)
 
 
 def load_gmm(path) -> GmmModel:
     """Read a model written by save_gmm; the round trip is bit-exact, and
     any damage is a DataError naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        magic, n, m = header.decode("ascii").split()
-        n, m = int(n), int(m)
-    except ValueError:  # also a non-ASCII header or the wrong field count
-        raise DataError(f"{path}: not an ACGMM1 file") from None
-    if magic != GMM_MAGIC or n < 1 or m < 1:
-        raise DataError(f"{path}: not an ACGMM1 file")
-    expected = 8 * (n + 2 * n * m)
-    if len(payload) != expected:
-        raise DataError(f"{path}: ACGMM1 payload of {len(payload)} bytes, expected {expected}")
-    weights = np.frombuffer(payload[: 8 * n], dtype="<f8").copy()
-    means = np.frombuffer(payload[8 * n: 8 * (n + n * m)], dtype="<f8").reshape(n, m).copy()
-    variances = np.frombuffer(payload[8 * (n + n * m):], dtype="<f8").reshape(n, m).copy()
+        n, m = records.read_header(fh, path, GMM_MAGIC, int, int)
+        if n < 1 or m < 1:
+            raise DataError(f"{path}: an ACGMM1 model of {n} components in {m} dimensions")
+        weights = records.read_floats(fh, path, GMM_MAGIC, n)
+        means, variances = records.read_floats(fh, path, GMM_MAGIC, 2, n, m)
+        records.read_end(fh, path, GMM_MAGIC)
     try:
         return GmmModel(weights, means, variances)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .accent import (
     VowelModelSet,
     _dev_accuracy,
@@ -119,10 +120,7 @@ def _check_fingerprint(directory: Path, expected: str, what: str) -> None:
     path = directory / "fingerprint.txt"
     if not path.exists():
         raise ConsistencyError(f"{path}: missing fingerprint for {what}")
-    try:
-        actual = path.read_text(encoding="utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    actual = records.read_text(path, "fingerprint").strip()
     if actual != expected:
         raise ConsistencyError(
             f"{what} at {directory} was produced under a different configuration "
@@ -239,10 +237,10 @@ class _Run:
         path = self.root / "features" / f"{entry.utterance_id}.feat"
         if not path.exists():
             raise DataError(f"{path}: features for {entry.utterance_id} not found; run featurize first")
-        records = read_feature_archive(path)
-        if len(records) != 1:
+        archive = read_feature_archive(path)
+        if len(archive) != 1:
             raise DataError(f"{path}: expected a single-utterance archive")
-        return records[0]
+        return archive[0]
 
     def vowel_segments(self, entry: ManifestEntry):
         """The alignment's segments, remapped onto silence-removed time."""
@@ -347,8 +345,8 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
     cache = run.root / "transform"
     lin_path, record_path = cache / "transform.lin", cache / "fit.json"
     try:
-        stored = json.loads(record_path.read_text(encoding="utf-8"))
-        lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
+        stored = json.loads(records.read_text(record_path, "transform fit record"))
+        lin_sha256 = records.sha256(lin_path)
         if (
             isinstance(stored, dict)
             and stored.get("key") == key
@@ -363,7 +361,7 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
     transform, record = _fit_transform(run, train_feats)
     cache.mkdir(parents=True, exist_ok=True)
     _replace_atomically(lin_path, lambda tmp: save_transform(tmp, transform))
-    lin_sha256 = hashlib.sha256(lin_path.read_bytes()).hexdigest()
+    lin_sha256 = records.sha256(lin_path)
     record.update(format=TRANSFORM_CACHE_FORMAT, key=key, transform_sha256=lin_sha256)
     _replace_atomically(
         record_path, lambda tmp: tmp.write_text(_canonical_json(record), encoding="utf-8")

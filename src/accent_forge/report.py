@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import DataError
 
 
@@ -67,9 +68,9 @@ def write_eval_report(path, report: EvaluationReport) -> None:
 
 def read_eval_report(path) -> EvaluationReport:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding
-        raise DataError(f"{path}: cannot read evaluation report: {exc}")
+        payload = json.loads(records.read_text(path, "evaluation report"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON evaluation report: {exc}") from None
     if not isinstance(payload, dict) or payload.get("kind") != "evaluation":
         raise DataError(f"{path}: not an evaluation report")
     try:

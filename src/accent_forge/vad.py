@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .audio import AudioBuffer, frame_signal
 from .errors import DataError
 
@@ -188,34 +189,25 @@ def remove_silence(
 
 def save_mask(path, utterance_id: str, mask: SpeechMask) -> None:
     """Write a speech mask as 'ACMASK1' header plus a 0/1 line."""
-    if any(ch.isspace() for ch in utterance_id) or not utterance_id:
-        raise ValueError(f"utterance id must be non-empty and whitespace-free: {utterance_id!r}")
-    bits = "".join("1" if k else "0" for k in mask.keep)
-    header = f"ACMASK1 {utterance_id} {mask.frame_len} {mask.hop} {mask.sample_rate} {mask.n_frames}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.write(bits + "\n")
+    fields = [utterance_id, mask.frame_len, mask.hop, mask.sample_rate, mask.n_frames]
+    with open(path, "wb") as fh:
+        records.write_record(fh, "ACMASK1", fields)
+        fh.write(np.where(mask.keep, b"1", b"0").tobytes() + b"\n")
 
 
 def load_mask(path) -> tuple[str, SpeechMask]:
     """Read a speech mask written by save_mask; a missing, unreadable or
     damaged file is a DataError naming it."""
-    try:  # ValueError also covers text that is not UTF-8, or bits not ASCII
-        with open(path, "r", encoding="utf-8") as fh:
-            magic, utt, frame_len, hop, sr, n = fh.readline().split()
+    try:
+        with open(path, "rb") as fh:
+            utt, frame_len, hop, sr, n = records.read_header(fh, path, "ACMASK1", str, int, int, int, int)
             bits = fh.readline().strip()
-        frame_len, hop, sr, n = int(frame_len), int(hop), int(sr), int(n)
-        keep = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
-    except ValueError:
-        raise DataError(f"{path}: not an ACMASK1 file") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read the speech mask ({exc.strerror}); run vad first") from None
-    if magic != "ACMASK1":
-        raise DataError(f"{path}: not an ACMASK1 file")
     if min(frame_len, hop, sr) <= 0:
         raise DataError(f"{path}: frame length, hop and sample rate must be positive")
     if len(bits) != n:
         raise DataError(f"{path}: mask length {len(bits)} does not match header count {n}")
-    if set(bits) - {"0", "1"}:
+    if bits.strip(b"01"):
         raise DataError(f"{path}: mask bits must be 0 or 1")
-    return utt, SpeechMask(keep, frame_len, hop, sr)
+    return utt, SpeechMask(np.frombuffer(bits, dtype=np.uint8) == ord("1"), frame_len, hop, sr)

@@ -848,13 +848,34 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
     assert len(calls) == len(keys) * len(parse_manifest(manifest).inventory)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy takes over a second to import; only synthcorpus and LDA fits load it
+def loaded_after(statement: str, package: str) -> str:
+    """The modules of package that a fresh interpreter holds after statement."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, accent_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes over a second to import; only synthcorpus and LDA fits load it
+    assert loaded_after("import accent_forge.cli", "scipy") == "[]"
+
+
+def test_package_and_cli_import_leave_numpy_unloaded():
+    # cli.main pins the BLAS thread count, which numpy reads when it loads
+    assert loaded_after("import accent_forge, accent_forge.cli", "numpy") == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_pins_one_blas_thread_unless_set(monkeypatch, tmp_path, preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert main(["vad", "--manifest", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "w")]) == 2
+    assert [os.environ[name] for name in names] == [preset or "1", "1", "1"]
 
 
 def test_workers_env_override(monkeypatch, tmp_path, capsys):

@@ -16,12 +16,12 @@ from accent_forge.accent import AccentModelSet, VowelModelSet, load_model_set, s
 from accent_forge.audio import load_audio
 from accent_forge.config import load_config
 from accent_forge.corpus import parse_alignment, parse_manifest
-from accent_forge.discriminant import load_transform
+from accent_forge.discriminant import LinearTransform, load_transform, save_transform
 from accent_forge.errors import ConsistencyError, DataError
-from accent_forge.features import read_feature_archive
-from accent_forge.gmm import GmmModel
+from accent_forge.features import FeatureMatrix, read_feature_archive, write_feature_archive
+from accent_forge.gmm import GmmModel, load_gmm, save_gmm
 from accent_forge.report import read_eval_report
-from accent_forge.vad import load_mask
+from accent_forge.vad import SpeechMask, load_mask, save_mask
 
 
 def f64(*values):
@@ -45,6 +45,7 @@ READERS = {
     "transform": (load_transform, "t.lin"),
     "features": (read_feature_archive, "u.feat"),
     "mask": (load_mask, "u.mask"),
+    "gmm": (load_gmm, "u.gmm"),
     "alignment": (parse_alignment, "u.ali"),
     "manifest": (parse_manifest, "m.tsv"),
     "config": (load_config, "c.ini"),
@@ -72,6 +73,11 @@ DAMAGED = {
     "features-nan_value": b"ACFEAT1 u 1 1 0.0 10.0\n" + f64(np.nan),
     "features-truncated": b"ACFEAT1 u 2 1 0.0 10.0\n" + f64(1.0),
     "features-huge_claim": b"ACFEAT1 u 100000000 100000000 0.0 10.0\n" + f64(1.0),
+    "features-nan_start": b"ACFEAT1 u 1 2 nan 10.0\n" + f64(1.0, 2.0),
+    "features-inf_hop": b"ACFEAT1 u 1 2 0.0 inf\n" + f64(1.0, 2.0),
+    "features-negative_hop": b"ACFEAT1 u 1 2 0.0 -10.0\n" + f64(1.0, 2.0),
+    "features-zero_hop": b"ACFEAT1 u 1 2 0.0 0.0\n" + f64(1.0, 2.0),
+    "features-non_ascii_dims": "ACFEAT1 u \u0661 2 0.0 10.0\n".encode("utf-8") + f64(1.0, 2.0),
     "mask-not_utf8": NOT_UTF8,
     "mask-non_numeric_count": b"ACMASK1 u 400 200 8000 x\n1\n",
     "mask-non_ascii_bits": "ACMASK1 u 400 200 8000 1\né\n".encode("utf-8"),
@@ -82,12 +88,20 @@ DAMAGED = {
     "mask-negative_hop": b"ACMASK1 u 400 -200 8000 3\n101\n",
     "mask-zero_hop": b"ACMASK1 u 400 0 8000 3\n101\n",
     "mask-bit_not_0_or_1": b"ACMASK1 u 400 200 8000 3\n1x1\n",
+    "mask-non_ascii_digits": "ACMASK1 u \u0664\u0660\u0660 200 8000 3\n101\n".encode("utf-8"),
+    "gmm-non_ascii_header": "ACGMM1 \u0661 1\n".encode("utf-8") + f64(1.0, 0.0, 1.0),
+    "gmm-zero_components": b"ACGMM1 0 1\n",
+    "gmm-truncated": b"ACGMM1 1 1\n" + f64(1.0, 0.0),
+    "gmm-trailing_bytes": b"ACGMM1 1 1\n" + f64(1.0, 0.0, 1.0) + b"\x00",
+    "gmm-nan_weight": b"ACGMM1 2 1\n" + f64(np.nan, 1.0, 0.0, 1.0, 1.0, 1.0),
+    "gmm-weights_not_summing_to_one": b"ACGMM1 2 1\n" + f64(0.5, 0.6, 0.0, 1.0, 1.0, 1.0),
     "alignment-not_utf8": NOT_UTF8,
     "alignment-nan_start": b"nan 0.5 aa\n",
     "alignment-inf_end": b"0.1 inf iy\n",
     "alignment-nan_confidence": b"0.1 0.3 iy nan\n",
     "alignment-inf_confidence": b"0.1 0.3 iy -inf\n",
     "manifest-not_utf8": NOT_UTF8,
+    "manifest-id_with_space": b"u 1\tu.wav\tA\n",
     "config-not_utf8": NOT_UTF8,
     "config-nan_rel_tol": b"[em]\nrel_tol = nan\n",
     "config-nan_threshold_weight": b"[vad]\nthreshold_weight = NaN\n",
@@ -144,6 +158,7 @@ WELL_FORMED = {
     "transform": b"ACHLDA1 hlda 1 2 1\n" + f64(1.0, 0.0),
     "features": b"ACFEAT1 u 1 2 0.0 10.0\n" + f64(1.0, 2.0),
     "mask": b"ACMASK1 u 400 200 8000 3\n101\n",
+    "gmm": b"ACGMM1 2 1\n" + f64(0.25, 0.75, 0.0, 1.0, 1.0, 2.0),
     "alignment": b"0.5 0.75 AA1 0.9\n",
     "manifest": b"u\tu.wav\tA\n",
     "config": b"[run]\nseed = 3\n",
@@ -159,6 +174,29 @@ def test_well_formed_file_reads(tmp_path, kind):
     path = tmp_path / name
     path.write_bytes(WELL_FORMED[kind])
     assert reader(path) is not None
+
+
+# One value of each record kind, and its writer taking what its reader returns
+RECORDS = {
+    "transform": (save_transform, LinearTransform("hlda", np.array([[2.0, 0.5], [-0.25, 1.0]]), 1)),
+    "features": (write_feature_archive, [
+        FeatureMatrix(np.arange(6.0).reshape(3, 2) / 3.0, "\u00e9t\u00e9-1", 12.5, 10.0),
+        FeatureMatrix(np.zeros((0, 2)), "v", 0.0, 8.0),
+    ]),
+    "mask": (lambda path, loaded: save_mask(path, *loaded),
+             ("u", SpeechMask(np.array([True, False, True, True]), 400, 200, 8000))),
+    "gmm": (save_gmm, GmmModel(np.array([0.25, 0.75]), np.array([[0.1], [-3.0]]), np.array([[1.0], [0.5]]))),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_record_write_read_write_is_byte_equal(tmp_path, kind):
+    reader, name = READERS[kind]
+    writer, value = RECORDS[kind]
+    first, second = tmp_path / f"first-{name}", tmp_path / f"second-{name}"
+    writer(first, value)
+    writer(second, reader(first))
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_whole_sample_frames_load_unchanged(tmp_path):
