@@ -3,7 +3,9 @@
 The baseline scores an utterance against one mixture model per accent and
 takes the best total log likelihood. The vowel-combined classifier scores
 each vowel's frames against per-accent, per-vowel models, averages per
-frame, and fuses the vowel scores with vowel-proportion weights.
+frame, and fuses the vowel scores with vowel-proportion weights;
+train_vowel_set fits those models and picks their vowel subset and
+confidence threshold on dev.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 from . import records
 from .corpus import VOWELS
 from .errors import ConsistencyError, DataError
-from .gmm import (EmOptions, GmmModel, PreparedFrames, as_values, em_fit, load_gmm, mixture_log_likelihood,
-                  save_gmm)
+from .gmm import EmOptions, GmmModel, PreparedFrames, em_fit, load_gmm, mixture_log_likelihood, save_gmm
 
 logger = logging.getLogger(__name__)
 
@@ -50,10 +51,6 @@ class AccentModelSet:
         if len(dims) > 1:
             raise ValueError("all accent models must share dimensions")
 
-    @property
-    def dims(self) -> int:
-        return self.models[self.labels[0]].dims
-
 
 @dataclass
 class VowelModelSet:
@@ -63,7 +60,6 @@ class VowelModelSet:
     subset: list[str]
     weights: dict[str, float]
     models: dict[tuple[str, str], GmmModel]
-    inventory: tuple[str, ...] = VOWELS
     fingerprint: str = ""
     transform_ref: str | None = None
     confidence_tau: float = float("-inf")
@@ -72,8 +68,8 @@ class VowelModelSet:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("accent labels must be unique")
         for v in self.subset:
-            if v not in self.inventory:
-                raise ValueError(f"subset vowel {v!r} not in inventory")
+            if v not in VOWELS:
+                raise ValueError(f"subset vowel {v!r} not in the vowel inventory")
         if math.isnan(self.confidence_tau):
             raise ValueError("the confidence threshold tau is NaN")
         weights = [self.weights.get(v, math.nan) for v in self.subset]  # a missing weight fails too
@@ -89,26 +85,14 @@ class VowelModelSet:
 class ClassificationResult:
     predicted: str
     scores: dict[str, float]
-    n_frames: int
     frames_per_vowel: dict[str, int] | None = None
-
-
-def train_baseline(
-    train: dict[str, np.ndarray], n_components: int, opts: EmOptions | None = None
-) -> AccentModelSet:
-    """Fit one mixture model per accent on that accent's pooled frames, through train_pools."""
-    if not train:
-        raise ValueError("no training accents supplied")
-    labels = list(train)
-    models = train_pools({(lab,): X for lab, X in train.items()}, labels, n_components, opts)
-    return AccentModelSet(labels, {lab: models[(lab,)] for lab in labels})
 
 
 def train_pools(
     pools: dict[tuple[str, ...], np.ndarray],
     labels: list[str],
     n_components: int,
-    opts: EmOptions | None = None,
+    opts: EmOptions,
 ) -> dict[tuple[str, ...], GmmModel]:
     """Fit one mixture model by EM on each pool of frames.
 
@@ -118,7 +102,6 @@ def train_pools(
     pool with fewer frames than n_components gets one component per frame,
     with a warning.
     """
-    opts = opts or EmOptions()
     models = {}
     for key, X in pools.items():
         n = min(n_components, X.shape[0]) or n_components  # em_fit rejects an empty pool
@@ -129,14 +112,13 @@ def train_pools(
     return models
 
 
-def classify_baseline(models: AccentModelSet, X) -> ClassificationResult:
+def classify_baseline(models: AccentModelSet, X: np.ndarray) -> ClassificationResult:
     """Best accent under total log likelihood; ties go to the lowest accent index."""
-    values = as_values(X)
-    if values.ndim != 2 or values.shape[0] == 0:
+    if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("cannot classify an empty feature matrix")
-    frames = PreparedFrames(values)
+    frames = PreparedFrames(X)
     scores = {lab: mixture_log_likelihood(models.models[lab], frames) for lab in models.labels}
-    return ClassificationResult(_best_label(models.labels, scores), scores, values.shape[0])
+    return ClassificationResult(_best_label(models.labels, scores), scores)
 
 
 def _best_label(labels: list[str], scores: dict[str, float]) -> str:
@@ -156,17 +138,16 @@ def vowel_weights(frame_counts: dict[str, float], subset) -> dict[str, float]:
     return {v: float(c / total) for v, c in zip(subset, counts)}
 
 
-def _score_vowel(models: VowelModelSet, v: str, X) -> tuple[int, dict[str, float]] | None:
+def _score_vowel(models: VowelModelSet, v: str, X: np.ndarray) -> tuple[int, dict[str, float]] | None:
     """Frame count and per-accent total log likelihood of one vowel's rows.
 
     None when the vowel has no frames, so it drops out of the fusion.
     """
-    values = as_values(X)
-    if values.ndim != 2 or values.shape[0] == 0:
+    if X.ndim != 2 or X.shape[0] == 0:
         return None
-    frames = PreparedFrames(values)
+    frames = PreparedFrames(X)
     totals = {lab: mixture_log_likelihood(models.models[(lab, v)], frames) for lab in models.labels}
-    return values.shape[0], totals
+    return X.shape[0], totals
 
 
 def _fuse_vowel_scores(
@@ -216,7 +197,7 @@ def classify_vowel(
 
     predicted, scores = _fuse_vowel_scores(models.labels, models.weights, present, frame_normalized)
     frames = {v: k for v, k, _ in present}
-    return ClassificationResult(predicted, scores, sum(frames.values()), frames)
+    return ClassificationResult(predicted, scores, frames)
 
 
 def _dev_accuracy(dev_scores, labels, weights, subset, frame_normalized) -> int:
@@ -242,7 +223,7 @@ def select_vowel_subset(
 ) -> list[str]:
     """Greedy forward selection of the vowels that maximize dev accuracy.
 
-    dev_scores is the table pipeline._dev_scores builds against models.
+    dev_scores is the table _dev_scores builds against models.
     Candidates are tried in inventory order, which also breaks accuracy
     ties. Dev utterances with no vowel frames at all are skipped (with a
     logged count); an utterance with no frames for a candidate subset counts
@@ -250,7 +231,7 @@ def select_vowel_subset(
     """
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
-    candidates = [v for v in models.inventory if v in models.subset]
+    candidates = [v for v in VOWELS if v in models.subset]
     subset_size = min(subset_size, len(candidates))
     skipped = sum(1 for _, scores in dev_scores if not scores)
     if skipped:
@@ -269,6 +250,91 @@ def select_vowel_subset(
         rest = [v for v in candidates if v not in chosen]
         chosen.append(max(rest, key=lambda v: correct(chosen + [v])))
     return chosen
+
+
+def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
+    """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
+
+    dev holds (accent, model input rows, vowel table) per utterance. A
+    vowel's rows are those whose table entry is at least tau, and a vowel
+    without such rows is left out. As tau rises, one utterance's rows of one
+    vowel only lose members, so its row sets are nested and two of equal
+    size are equal: memo, keyed by (utterance index, vowel, row count),
+    scores each set once across every call that shares it.
+    """
+    table = []
+    for ui, (accent, rows, vowel_table) in enumerate(dev):
+        scores = {}
+        for v in vowels:
+            keep = vowel_table[:, VOWELS.index(v)] >= tau
+            key = (ui, v, int(np.count_nonzero(keep)))
+            if key not in memo:
+                memo[key] = _score_vowel(model_set, v, rows[keep])
+            if memo[key] is not None:
+                scores[v] = memo[key]
+        table.append((accent, scores))
+    return table
+
+
+def _tune_confidence_threshold(dev, segments, model_set, subset, weights, frame_normalized, memo) -> float:
+    """Grid search over dev-confidence percentiles for the best filter threshold.
+
+    segments are the dev set's segments; the grid holds -inf and the deciles
+    of the confidences of their scored subset-vowel segments. Every grid
+    point scores the dev set through _dev_scores with the shared memo; max
+    keeps the first of equals, so ties go to the lower threshold.
+    """
+    confidences = [s.confidence for s in segments if s.phone in subset and s.confidence is not None]
+    if not confidences:
+        return float("-inf")
+    grid = [float("-inf")] + sorted(
+        {float(np.percentile(confidences, p)) for p in range(0, 100, 10)}
+    )
+    return max(grid, key=lambda tau: _dev_accuracy(
+        _dev_scores(dev, model_set, subset, tau, memo), model_set.labels, weights, subset, frame_normalized
+    ))
+
+
+def train_vowel_set(
+    pools: dict[tuple[str, str], np.ndarray],
+    labels: list[str],
+    dev: list,
+    dev_segments: list,
+    n_components: int,
+    opts: EmOptions,
+    subset_size: int,
+    frame_normalized: bool = True,
+) -> VowelModelSet:
+    """Per-accent, per-vowel models with their vowel subset, weights and τ chosen on dev.
+
+    pools holds the training rows of each (accent, vowel); a vowel without
+    rows in every accent is left out, with a warning. dev holds (accent,
+    model input rows, vowel table) per dev utterance and dev_segments their
+    segments, whose confidences make the τ grid. Weights are the vowels'
+    shares of the training frames. The subset is chosen at τ = -inf, then τ
+    for that subset; both read one memo of dev scores. The returned set
+    holds the subset's models only.
+    """
+    vowels = [v for v in VOWELS if all((lab, v) in pools for lab in labels)]
+    dropped = [v for v in VOWELS if v not in vowels]
+    if dropped:
+        logger.warning("vowels without training frames in every accent: %s", " ".join(dropped))
+    if not vowels:
+        raise DataError("no vowel has training frames in every accent")
+    models = train_pools({key: X for key, X in pools.items() if key[1] in vowels}, labels, n_components, opts)
+    frame_counts = {v: sum(pools[(lab, v)].shape[0] for lab in labels) for v in vowels}
+    all_vowels = VowelModelSet(labels, vowels, vowel_weights(frame_counts, vowels), models)
+
+    memo: dict = {}  # shared by selection and every τ grid point
+    subset = select_vowel_subset(
+        _dev_scores(dev, all_vowels, vowels, float("-inf"), memo), all_vowels, subset_size, frame_normalized
+    )
+    weights = vowel_weights(frame_counts, subset)
+    tau = _tune_confidence_threshold(dev, dev_segments, all_vowels, subset, weights, frame_normalized, memo)
+    return replace(
+        all_vowels, subset=subset, weights=weights, confidence_tau=tau,
+        models={(lab, v): models[(lab, v)] for lab in labels for v in subset},
+    )
 
 
 MODELSET_MAGIC = "ACMSET1"

@@ -47,7 +47,7 @@ class PipelineConfig:
     synth: SynthSpec = field(default_factory=SynthSpec)
     context_size: int = 1
     reduced_dim: int = 20
-    transform: str = "hlda"  # none | lda | hlda
+    transform: str = "hlda"  # lda | hlda
     n_components: int = 256
     vowel_subset_size: int = 7
     mvn_scope: str = "utterance"  # utterance | global
@@ -55,16 +55,18 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.transform not in ("none", "lda", "hlda"):
-            raise ValueError(f"transform must be none|lda|hlda, got {self.transform!r}")
+        if self.transform not in ("lda", "hlda"):
+            raise ValueError(f"transform must be lda|hlda, got {self.transform!r}")
         if self.mvn_scope not in ("utterance", "global"):
             raise ValueError(f"mvn_scope must be utterance|global, got {self.mvn_scope!r}")
         if self.context_size < 0:
             raise ValueError("context_size must be >= 0")
         expanded = 3 * self.plp.num_cepstra * (2 * self.context_size + 1)
-        if self.transform != "none" and not 1 <= self.reduced_dim <= expanded:
+        top = expanded - 1 if self.transform == "hlda" else expanded  # HLDA keeps a nuisance row
+        if not 1 <= self.reduced_dim <= top:
             raise ValueError(
-                f"reduced_dim {self.reduced_dim} exceeds expanded feature size {expanded}"
+                f"reduced_dim {self.reduced_dim} must lie in 1..{top} for {self.transform} "
+                f"on the expanded feature size {expanded}"
             )
         if self.n_components < 1 or self.vowel_subset_size < 1:
             raise ValueError("n_components and vowel_subset_size must be >= 1")

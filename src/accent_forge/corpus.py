@@ -11,6 +11,7 @@ at any confidence threshold, are a comparison on one of its columns.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +67,11 @@ class AlignmentSegment:
             raise ValueError("phone must be non-empty")
 
 
-def parse_manifest(path, inventory: list[str] | None = None) -> Manifest:
+def parse_manifest(path) -> Manifest:
     """Parse TAB-separated lines: id (no whitespace), audio path, accent, optional alignment path.
 
-    Lines starting with '#' and blank lines are ignored. When inventory is
-    given, labels outside it are rejected; otherwise the inventory is the
-    labels in order of first appearance.
+    Lines starting with '#' and blank lines are ignored. The inventory is
+    the labels in order of first appearance.
     """
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
@@ -87,27 +87,19 @@ def parse_manifest(path, inventory: list[str] | None = None) -> Manifest:
         alignment = fields[3] if len(fields) == 4 and fields[3] else None
         if utt in seen:
             raise DataError(f"{path}:{lineno}: duplicate utterance id {utt!r}")
-        if inventory is not None and accent not in inventory:
-            raise DataError(f"{path}:{lineno}: unknown accent label {accent!r}")
         seen.add(utt)
         if accent not in found:
             found.append(accent)
         entries.append(ManifestEntry(utt, audio_path, accent, alignment))
-    return Manifest(entries, list(inventory) if inventory is not None else found)
+    return Manifest(entries, found)
 
 
-def split_dataset(
-    manifest: Manifest,
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    seed: int = 0,
-) -> SplitAssignment:
-    """Seeded per-accent shuffle into train/dev/test with largest-remainder rounding.
+def split_dataset(manifest: Manifest, seed: int = 0) -> SplitAssignment:
+    """Seeded per-accent 70:15:15 shuffle into train/dev/test with largest-remainder rounding.
 
     Accents with fewer than 3 utterances go entirely to train, with a
     recorded warning.
     """
-    if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be positive and sum to 1")
     tags: dict[str, str] = {}
     warnings: list[str] = []
     split_names = ("train", "dev", "test")
@@ -123,7 +115,7 @@ def split_dataset(
             continue
         rng = np.random.default_rng([seed, accent_idx])
         order = rng.permutation(n)
-        quotas = np.array(ratios) * n
+        quotas = np.array([0.70, 0.15, 0.15]) * n
         counts = np.floor(quotas).astype(int)
         leftover = n - counts.sum()
         # hand leftovers to the largest fractional parts; stable sort keeps
@@ -163,7 +155,7 @@ def parse_alignment(path) -> list[AlignmentSegment]:
             confidence = float(fields[3]) if len(fields) == 4 else None
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric field in: {line!r}")
-        if not np.isfinite([start, end, 0.0 if confidence is None else confidence]).all():
+        if not all(math.isfinite(x) for x in (start, end, confidence) if x is not None):
             raise DataError(f"{path}:{lineno}: non-finite field in: {line!r}")
         if end <= start or start < 0:
             raise DataError(f"{path}:{lineno}: segment end must exceed start: {line!r}")

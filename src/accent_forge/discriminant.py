@@ -29,7 +29,6 @@ import numpy as np
 
 from . import records
 from .errors import DataError
-from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -296,17 +295,11 @@ def hlda_fit(
     return LinearTransform("hlda", _fix_signs(a), m), trace
 
 
-def project(t: LinearTransform, X):
-    """Apply the retained rows of a transform to features (matrix or FeatureMatrix)."""
-    rows = t.matrix[: t.retained]
-    if isinstance(X, FeatureMatrix):
-        if X.dims != t.input_dims:
-            raise ValueError(f"feature dims {X.dims} do not match transform dims {t.input_dims}")
-        return X.with_values(X.values @ rows.T)
-    X = np.asarray(X, dtype=np.float64)
+def project(t: LinearTransform, X: np.ndarray) -> np.ndarray:
+    """Apply the retained rows of a transform to the rows of X."""
     if X.shape[-1] != t.input_dims:
         raise ValueError(f"feature dims {X.shape[-1]} do not match transform dims {t.input_dims}")
-    return X @ rows.T
+    return X @ t.matrix[: t.retained].T
 
 
 TRANSFORM_MAGIC = "ACHLDA1"

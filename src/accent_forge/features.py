@@ -244,7 +244,7 @@ def mvn(f: FeatureMatrix) -> FeatureMatrix:
 
 def mvn_stats(matrices) -> tuple[np.ndarray, np.ndarray]:
     """Pooled per-dimension mean and standard deviation over several matrices."""
-    stacked = np.vstack([m.values if isinstance(m, FeatureMatrix) else m for m in matrices])
+    stacked = np.vstack([m.values for m in matrices])
     return stacked.mean(axis=0), stacked.std(axis=0)
 
 
@@ -278,26 +278,23 @@ def context_expand(f: FeatureMatrix, context: int, out: np.ndarray | None = None
 FEATURE_MAGIC = "ACFEAT1"
 
 
-def write_feature_archive(path, matrices) -> None:
-    """Write feature matrices as ACFEAT1 records (UTF-8 header + float64 LE rows)."""
+def write_feature_archive(path, f: FeatureMatrix) -> None:
+    """Write one utterance's features as an ACFEAT1 record (UTF-8 header + float64 LE rows)."""
     with open(path, "wb") as fh:
-        for m in matrices:
-            fields = [m.utterance_id, m.dims, m.n_frames, repr(m.start_ms), repr(m.hop_ms)]
-            records.write_record(fh, FEATURE_MAGIC, fields, m.values)
+        fields = [f.utterance_id, f.dims, f.n_frames, repr(f.start_ms), repr(f.hop_ms)]
+        records.write_record(fh, FEATURE_MAGIC, fields, f.values)
 
 
-def read_feature_archive(path) -> list[FeatureMatrix]:
-    """Read every ACFEAT1 record from an archive file."""
-    out = []
+def read_feature_archive(path) -> FeatureMatrix:
+    """Read the one ACFEAT1 record of an archive file, which must end the file."""
     with open(path, "rb") as fh:
-        while fh.peek(1):
-            utt, dims, frames, start_ms, hop_ms = records.read_header(
-                fh, path, FEATURE_MAGIC, str, int, int, float, float)
-            if dims < 0 or frames < 0 or not (math.isfinite(start_ms) and 0.0 < hop_ms < math.inf):
-                raise DataError(f"{path}: bad ACFEAT1 header for {utt}: {dims} {frames} {start_ms} {hop_ms}")
-            values = records.read_floats(fh, path, FEATURE_MAGIC, frames, dims)
-            try:
-                out.append(FeatureMatrix(values, utt, start_ms, hop_ms))
-            except ValueError as exc:
-                raise DataError(f"{path}: record {utt}: {exc}") from None
-    return out
+        utt, dims, frames, start_ms, hop_ms = records.read_header(
+            fh, path, FEATURE_MAGIC, str, int, int, float, float)
+        if dims < 0 or frames < 0 or not (math.isfinite(start_ms) and 0.0 < hop_ms < math.inf):
+            raise DataError(f"{path}: bad ACFEAT1 header for {utt}: {dims} {frames} {start_ms} {hop_ms}")
+        values = records.read_floats(fh, path, FEATURE_MAGIC, frames, dims)
+        records.read_end(fh, path, FEATURE_MAGIC)
+    try:
+        return FeatureMatrix(values, utt, start_ms, hop_ms)
+    except ValueError as exc:
+        raise DataError(f"{path}: record {utt}: {exc}") from None

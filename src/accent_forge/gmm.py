@@ -94,13 +94,8 @@ class EmOptions:
             raise ValueError("rel_tol must be positive")
 
 
-def as_values(x) -> np.ndarray:
-    """The float64 array of a FeatureMatrix, or of any array-like."""
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
-
-
 def _as_matrix(x) -> np.ndarray:
-    values = as_values(x)
+    values = np.asarray(x, dtype=np.float64)
     if values.ndim == 1:
         values = values[None, :]
     return values
@@ -276,8 +271,9 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     work = np.empty_like(XT)
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    d2 = _sq_distances(XT, centers[0], work)
+    d2 = np.full(n, np.inf)  # each frame's squared distance to its nearest center so far
     for i in range(1, k):
+        np.minimum(d2, _sq_distances(XT, centers[i - 1], work), out=d2)
         total = float(d2.sum())
         if not math.isfinite(total):
             raise ValueError("squared distances between frames are not finite")
@@ -285,7 +281,6 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
             centers[i] = X[int(rng.integers(n))]
         else:
             centers[i] = X[_draw_index(rng, d2 / total)]
-        np.minimum(d2, _sq_distances(XT, centers[i], work), out=d2)
 
     x_sq = np.sum(X * X, axis=1)[:, None]
     labels = np.zeros(n, dtype=np.intp)

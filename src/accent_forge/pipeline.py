@@ -18,24 +18,21 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import records
 from .accent import (
+    AccentModelSet,
     VowelModelSet,
-    _dev_accuracy,
-    _score_vowel,
     classify_baseline,
     classify_vowel,
     load_model_set,
     save_model_set,
-    select_vowel_subset,
-    train_baseline,
     train_pools,
-    vowel_weights,
+    train_vowel_set,
 )
 from .audio import frame_signal, load_audio
 from .config import PipelineConfig, config_fingerprint
@@ -195,7 +192,10 @@ def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
                 f"{mask_path} does not frame {wav} as the [vad] configuration does; run vad again"
             )
         try:  # a sample rate or [plp] setting the front end cannot analyze
-            return plp_with_deltas(masked_speech(audio, mask), cfg, entry.utterance_id)
+            static = plp_static(masked_speech(audio, mask), cfg.plp, entry.utterance_id)
+            if static.n_frames == 0:
+                return static.with_values(np.zeros((0, 3 * cfg.plp.num_cepstra)))
+            return append_deltas(static, cfg.plp.delta_window)
         except ValueError as exc:
             raise DataError(f"{wav}: {exc}") from None
 
@@ -209,17 +209,9 @@ def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
         feats = [mvn(f) if f.n_frames > 0 else f for f in feats]
 
     for entry, f in zip(manifest.entries, feats):
-        write_feature_archive(feat_dir / f"{entry.utterance_id}.feat", [f])
+        write_feature_archive(feat_dir / f"{entry.utterance_id}.feat", f)
     _write_fingerprint(feat_dir, fingerprint)
     return len(feats)
-
-
-def plp_with_deltas(speech, cfg: PipelineConfig, utterance_id: str) -> FeatureMatrix:
-    """Static features plus dynamics, before any normalization."""
-    static = plp_static(speech, cfg.plp, utterance_id)
-    if static.n_frames == 0:
-        return static.with_values(np.zeros((0, 3 * cfg.plp.num_cepstra)))
-    return append_deltas(static, cfg.plp.delta_window)
 
 
 @dataclass
@@ -237,10 +229,7 @@ class _Run:
         path = self.root / "features" / f"{entry.utterance_id}.feat"
         if not path.exists():
             raise DataError(f"{path}: features for {entry.utterance_id} not found; run featurize first")
-        archive = read_feature_archive(path)
-        if len(archive) != 1:
-            raise DataError(f"{path}: expected a single-utterance archive")
-        return archive[0]
+        return read_feature_archive(path)
 
     def vowel_segments(self, entry: ManifestEntry):
         """The alignment's segments, remapped onto silence-removed time."""
@@ -250,6 +239,17 @@ class _Run:
         segments = parse_alignment(_resolve(self.manifest_dir, entry.alignment_path))
         _, mask = load_mask(self.root / "vad" / f"{utt}.mask")
         return remap_segments(mask, segments)
+
+    def model_input(self, feats: FeatureMatrix, transform: LinearTransform | None, segments=None):
+        """What the models see of an utterance, and its vowel table when segments are given.
+
+        The rows are the archived features, or their context expansion
+        projected by transform; one the transform cannot take is a ValueError.
+        """
+        rows = feats.values
+        if transform is not None:
+            rows = project(transform, context_expand(feats, self.cfg.context_size).values)
+        return rows, None if segments is None else extract_vowel_frames(feats, segments)
 
 
 def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: str) -> _Run:
@@ -270,13 +270,6 @@ def _open_run(manifest_path, cfg: PipelineConfig, out_dir, mode: str, action: st
         for part in ("train", "dev", "test")
     }
     return _Run(cfg, root, manifest_path.parent, manifest.inventory, parts, fingerprint)
-
-
-def _model_input(feats: FeatureMatrix, cfg: PipelineConfig, transform: LinearTransform | None) -> FeatureMatrix:
-    """What the models see: the archived features, or their expanded projection."""
-    if transform is None:
-        return feats
-    return project(transform, context_expand(feats, cfg.context_size))
 
 
 def _fit_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]) -> tuple[LinearTransform, dict]:
@@ -331,8 +324,6 @@ def _workspace_transform(run: _Run, train_feats: list[tuple[str, FeatureMatrix]]
     the key and the file hash both match and the file loads; in any other
     state the transform is refitted and both files are rewritten.
     """
-    if run.cfg.transform == "none":
-        raise DataError("this training mode needs [model] transform = lda or hlda")
     digest = hashlib.sha256()
     head = [TRANSFORM_CACHE_FORMAT, run.fingerprint, list(run.labels)]
     digest.update(json.dumps(head).encode("utf-8") + b"\n")
@@ -378,9 +369,13 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     """
     run = _open_run(manifest_path, cfg, out_dir, mode, "training")
     train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
-    empty = [lab for lab in run.labels if not any(a == lab and f.n_frames for a, f in train_feats)]
-    if empty:
-        raise DataError(f"no training frames for accents: {empty}")
+    frames = dict.fromkeys(run.labels, 0)
+    for accent, feats in train_feats:
+        frames[accent] += feats.n_frames
+    least = 1 if mode == "baseline-plp" else 2  # the transform fit's class statistics need 2 rows
+    thin = [f"{lab} ({n})" for lab, n in frames.items() if n < least]
+    if thin:
+        raise DataError(f"{mode} needs at least {least} training frames per accent; too few for: {thin}")
     model_dir = run.root / f"models-{mode}"
     model_dir.mkdir(parents=True, exist_ok=True)
 
@@ -389,103 +384,35 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
         transform = _workspace_transform(run, train_feats)
         save_transform(model_dir / "transform.lin", transform)
     vowel = mode == "vowel-hlda"
-    blocks: dict[tuple[str, ...], list[np.ndarray]] = {}
+    keys = [(lab, v) for lab in run.labels for v in VOWELS] if vowel else [(lab,) for lab in run.labels]
+    blocks: dict[tuple[str, ...], list[np.ndarray]] = {key: [] for key in keys}  # pools fit in this order
     for entry, (accent, feats) in zip(run.parts["train"], train_feats):
-        X = _model_input(feats, cfg, transform)
+        rows, table = run.model_input(feats, transform, run.vowel_segments(entry) if vowel else None)
         if vowel:
-            table = extract_vowel_frames(X, run.vowel_segments(entry))
-            rows = {(accent, v): X.values[~np.isnan(table[:, j])] for j, v in enumerate(VOWELS)}
+            parts = {(accent, v): rows[~np.isnan(table[:, j])] for j, v in enumerate(VOWELS)}
         else:
-            rows = {(accent,): X.values}
-        for key, values in rows.items():
+            parts = {(accent,): rows}
+        for key, values in parts.items():
             if values.shape[0]:
-                blocks.setdefault(key, []).append(values)
+                blocks[key].append(values)
+    pools = {key: np.vstack(b) for key, b in blocks.items() if b}
     if vowel:
-        model_set = _train_vowel(run, blocks, transform)
+        dev, dev_segments = [], []
+        for e in run.parts["dev"]:
+            segments = run.vowel_segments(e)
+            dev.append((e.accent, *run.model_input(run.features(e), transform, segments)))
+            dev_segments += segments
+        model_set = train_vowel_set(
+            pools, run.labels, dev, dev_segments, cfg.n_components, cfg.em,
+            cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores,
+        )
     else:
-        pools = {lab: np.vstack(blocks[(lab,)]) for lab in run.labels}
-        model_set = train_baseline(pools, cfg.n_components, cfg.em)
+        models = train_pools(pools, run.labels, cfg.n_components, cfg.em)
+        model_set = AccentModelSet(run.labels, {lab: models[(lab,)] for lab in run.labels})
     model_set.fingerprint = run.fingerprint
     model_set.transform_ref = None if transform is None else "transform.lin"
     save_model_set(model_dir, model_set)
     return model_dir
-
-
-def _train_vowel(run: _Run, blocks, transform: LinearTransform) -> VowelModelSet:
-    """Per-accent, per-vowel models on the pooled vowel rows; subset, weights and τ from dev."""
-    cfg, labels = run.cfg, run.labels
-    usable_vowels = [v for v in VOWELS if all((lab, v) in blocks for lab in labels)]
-    dropped = [v for v in VOWELS if v not in usable_vowels]
-    if dropped:
-        logger.warning("vowels without training frames in every accent: %s", " ".join(dropped))
-    if not usable_vowels:
-        raise DataError("no vowel has training frames in every accent")
-    pools = {(lab, v): np.vstack(blocks[(lab, v)]) for lab in labels for v in usable_vowels}
-    models = train_pools(pools, labels, cfg.n_components, cfg.em)
-    frame_counts = {v: sum(pools[(lab, v)].shape[0] for lab in labels) for v in usable_vowels}
-    all_vowel_set = VowelModelSet(labels, usable_vowels, vowel_weights(frame_counts, usable_vowels), models)
-
-    dev, dev_segments = [], []
-    for e in run.parts["dev"]:
-        projected, segments = _model_input(run.features(e), cfg, transform), run.vowel_segments(e)
-        dev.append((e.accent, projected.values, extract_vowel_frames(projected, segments)))
-        dev_segments += segments
-    memo: dict = {}  # shared by selection and every τ grid point
-    subset = select_vowel_subset(
-        _dev_scores(dev, all_vowel_set, usable_vowels, float("-inf"), memo),
-        all_vowel_set, cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores,
-    )
-    weights = vowel_weights(frame_counts, subset)
-    tau = _tune_confidence_threshold(dev, dev_segments, all_vowel_set, subset, weights, cfg, memo)
-    # the final set is the full one narrowed to the chosen subset
-    return replace(
-        all_vowel_set, subset=subset, weights=weights, confidence_tau=tau,
-        models={(lab, v): models[(lab, v)] for lab in labels for v in subset},
-    )
-
-
-def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
-    """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
-
-    dev holds (accent, projected rows, vowel table) per utterance. A vowel's
-    rows are those whose table entry is at least tau, and a vowel without
-    such rows is left out. As tau rises, one utterance's rows of one vowel
-    only lose members, so its row sets are nested and two of equal size are
-    equal: memo, keyed by (utterance index, vowel, row count), scores each
-    set once across every call that shares it.
-    """
-    table = []
-    for ui, (accent, rows, vowel_table) in enumerate(dev):
-        scores = {}
-        for v in vowels:
-            keep = vowel_table[:, VOWELS.index(v)] >= tau
-            key = (ui, v, int(np.count_nonzero(keep)))
-            if key not in memo:
-                memo[key] = _score_vowel(model_set, v, rows[keep])
-            if memo[key] is not None:
-                scores[v] = memo[key]
-        table.append((accent, scores))
-    return table
-
-
-def _tune_confidence_threshold(dev, segments, model_set, subset, weights, cfg, memo: dict) -> float:
-    """Grid search over dev-confidence percentiles for the best filter threshold.
-
-    segments are the dev set's remapped segments; the grid holds -inf and
-    the deciles of the confidences of their scored subset-vowel segments.
-    Every grid point scores the dev set through _dev_scores with the shared
-    memo; max keeps the first of equals, so ties go to the lower threshold.
-    """
-    confidences = [s.confidence for s in segments if s.phone in subset and s.confidence is not None]
-    if not confidences:
-        return float("-inf")
-    grid = [float("-inf")] + sorted(
-        {float(np.percentile(confidences, p)) for p in range(0, 100, 10)}
-    )
-    labels, normalized = model_set.labels, cfg.frame_normalized_vowel_scores
-    return max(grid, key=lambda tau: _dev_accuracy(
-        _dev_scores(dev, model_set, subset, tau, memo), labels, weights, subset, normalized
-    ))
 
 
 def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_empty=True) -> EvaluationReport:
@@ -514,17 +441,15 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_e
             )
         feats = run.features(entry)
         # a missing or damaged alignment or mask is a data error, as in training
-        if vowel:
-            segments = run.vowel_segments(entry)
+        segments = run.vowel_segments(entry) if vowel else None
         try:
-            X = _model_input(feats, cfg, transform)
+            rows, table = run.model_input(feats, transform, segments)
             if vowel:
-                table = extract_vowel_frames(X, segments)
                 tau = model_set.confidence_tau
-                per_vowel = {v: X.values[table[:, VOWELS.index(v)] >= tau] for v in model_set.subset}
+                per_vowel = {v: rows[table[:, VOWELS.index(v)] >= tau] for v in model_set.subset}
                 result = classify_vowel(model_set, per_vowel, cfg.frame_normalized_vowel_scores)
             else:
-                result = classify_baseline(model_set, X)
+                result = classify_baseline(model_set, rows)
         except (DataError, ValueError) as exc:
             logger.warning("skipping %s: %s", entry.utterance_id, exc)
             skipped += 1

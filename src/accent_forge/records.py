@@ -1,9 +1,9 @@
 """The workspace file codec: binary records, UTF-8 text and file digests.
 
 A record is a UTF-8 header line 'MAGIC field ...', then float64 LE arrays,
-row-major: one per utterance in a feature archive (ACFEAT1), one ending the
-file in a transform (ACHLDA1) or mixture model (ACGMM1), and one with a 0/1
-line instead of arrays in a speech mask (ACMASK1). Each format's module keeps
+row-major: one ending the file in a feature archive (ACFEAT1), transform
+(ACHLDA1) or mixture model (ACGMM1), and one with a 0/1 line instead of
+arrays in a speech mask (ACMASK1). Each format's module keeps
 its field meanings and checks. Numeric header fields must be ASCII, since
 int() and float() also take other scripts' digits. Damage is a DataError
 naming the file.

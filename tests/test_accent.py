@@ -13,15 +13,13 @@ from accent_forge.accent import (
     load_model_set,
     save_model_set,
     select_vowel_subset,
-    train_baseline,
+    train_pools,
     vowel_weights,
 )
-from accent_forge.config import default_config
 from accent_forge.corpus import VOWELS, AlignmentSegment, extract_vowel_frames
 from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import FeatureMatrix
 from accent_forge.gmm import EmOptions, GmmModel, em_fit, mixture_log_likelihood
-from accent_forge.pipeline import _dev_scores, _tune_confidence_threshold
 from alignment_reference import reference_filter_by_confidence, reference_vowel_rows
 from gmm_reference import reference_frame_log_likelihoods
 
@@ -45,28 +43,25 @@ class TestTrainBaseline:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((100, 3))
         opts = EmOptions(seed=5)
-        model_set = train_baseline({"A": X}, 2, opts)
+        models = train_pools({("A",): X}, ["A"], 2, opts)
         direct, _ = em_fit(X, 2, EmOptions(seed=derive_seed(5, 0)))
-        assert np.array_equal(model_set.models["A"].means, direct.means)
+        assert np.array_equal(models[("A",)].means, direct.means)
 
     def test_disjoint_accents_separate(self):
         rng = np.random.default_rng(1)
         train = {
-            "A": rng.standard_normal((300, 2)),
-            "B": rng.standard_normal((300, 2)) + 20.0,
+            ("A",): rng.standard_normal((300, 2)),
+            ("B",): rng.standard_normal((300, 2)) + 20.0,
         }
-        model_set = train_baseline(train, 2, EmOptions(seed=2))
-        gap = np.linalg.norm(
-            model_set.models["A"].means.mean(axis=0)
-            - model_set.models["B"].means.mean(axis=0)
-        )
+        models = train_pools(train, ["A", "B"], 2, EmOptions(seed=2))
+        gap = np.linalg.norm(models[("A",)].means.mean(axis=0) - models[("B",)].means.mean(axis=0))
         assert gap > 5.0
 
     def test_pools_seed_by_label_and_vowel_index_in_any_order(self, caplog):
         rng = np.random.default_rng(4)
         pools = {("A", "iy"): rng.standard_normal((50, 2)), ("B", "aa"): rng.standard_normal((3, 2))}
         with caplog.at_level("WARNING", logger="accent_forge.accent"):
-            models = accent.train_pools(dict(reversed(pools.items())), ["A", "B"], 4, EmOptions(seed=9))
+            models = train_pools(dict(reversed(pools.items())), ["A", "B"], 4, EmOptions(seed=9))
         assert "B aa: only 3 frames; capping components at 3" in caplog.text
         for (lab, v), X in pools.items():
             seed = derive_seed(9, ["A", "B"].index(lab), VOWELS.index(v))
@@ -78,8 +73,7 @@ class TestTrainBaseline:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((2000, 117))
         opts = EmOptions(seed=3, max_iters=3)
-        model_set = train_baseline({"A": X}, 256, opts)
-        model = model_set.models["A"]
+        model = train_pools({("A",): X}, ["A"], 256, opts)[("A",)]
         floor = np.maximum(1e-3 * X.var(axis=0), 1e-10)
         assert np.all(model.variances >= floor - 1e-15)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -321,7 +315,7 @@ def all_segments(segment_lists):
 
 def dev_table(dev, models):
     """select_vowel_subset's input, built the way vowel training builds it."""
-    return _dev_scores(table_dev(segment_dev(dev)), models, models.subset, float("-inf"), {})
+    return accent._dev_scores(table_dev(segment_dev(dev)), models, models.subset, float("-inf"), {})
 
 
 def interval_keyed_dev_scores(segment_lists, model_set, vowels, tau, memo):
@@ -395,7 +389,7 @@ class TestSelectVowelSubset:
 
 def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
     """Reference greedy selection: one classify_vowel call per trial and utterance."""
-    candidates = [v for v in models.inventory if v in models.subset]
+    candidates = [v for v in VOWELS if v in models.subset]
     subset_size = min(subset_size, len(candidates))
     usable = [
         (true, per_vowel) for true, per_vowel in dev
@@ -560,11 +554,11 @@ class TestCachedVowelScoring:
             if v in vowels and np.asarray(X).shape[0] > 0
         )
         dev, memo = table_dev(segment_dev(dev)), {}
-        table = _dev_scores(dev, vset, vset.subset, float("-inf"), memo)
+        table = accent._dev_scores(dev, vset, vset.subset, float("-inf"), memo)
         assert sum(calls.values()) == present * len(labels)
         # selection only fuses the table, and a rebuild from the same memo scores nothing
         select_vowel_subset(table, vset, len(vowels))
-        assert _dev_scores(dev, vset, vset.subset, float("-inf"), memo) == table
+        assert accent._dev_scores(dev, vset, vset.subset, float("-inf"), memo) == table
         assert max(calls.values()) == 1
         assert sum(calls.values()) == present * len(labels)
 
@@ -572,22 +566,22 @@ class TestCachedVowelScoring:
     @pytest.mark.parametrize("seed", range(10))
     def test_tau_tuning_matches_naive_reference(self, seed, frame_normalized):
         dev_segment_lists, vset, subset, weights = tau_case(seed)
-        cfg = replace(default_config(), frame_normalized_vowel_scores=frame_normalized)
         dev, memo = table_dev(dev_segment_lists), {}  # memo filled by the selection table first
-        _dev_scores(dev, vset, vset.subset, float("-inf"), memo)
-        tau = _tune_confidence_threshold(dev, all_segments(dev_segment_lists), vset, subset, weights, cfg, memo)
+        accent._dev_scores(dev, vset, vset.subset, float("-inf"), memo)
+        tau = accent._tune_confidence_threshold(
+            dev, all_segments(dev_segment_lists), vset, subset, weights, frame_normalized, memo
+        )
         assert tau == naive_tune_confidence_threshold(
             dev_segment_lists, vset, subset, weights, frame_normalized
         )
 
     def test_tau_cases_reach_several_grid_points(self):
         # the equivalence cases only tell something if they pick different τ
-        cfg = default_config()
         picked = set()
         for seed in range(10):
             lists, vset, subset, weights = tau_case(seed)
-            picked.add(_tune_confidence_threshold(table_dev(lists), all_segments(lists), vset, subset, weights,
-                                                  cfg, {}))
+            picked.add(accent._tune_confidence_threshold(table_dev(lists), all_segments(lists), vset, subset,
+                                                         weights, True, {}))
         assert len(picked) >= 3
         assert float("-inf") in picked
 
@@ -601,7 +595,7 @@ class TestCachedVowelScoring:
         grid = [float("-inf"), *confidences, 0.5]
         by_count, by_interval = {}, {}
         for tau in grid + grid[::-1]:
-            assert _dev_scores(dev, vset, vset.subset, tau, by_count) == interval_keyed_dev_scores(
+            assert accent._dev_scores(dev, vset, vset.subset, tau, by_count) == interval_keyed_dev_scores(
                 dev_segment_lists, vset, vset.subset, tau, by_interval
             )
         assert len(by_count) <= len(by_interval)

@@ -305,7 +305,7 @@ class TestCliCommands:
         root, _, _ = tiny_workspace
         from accent_forge.features import read_feature_archive
 
-        feats = read_feature_archive(root / "work" / "features" / "A0000.feat")[0]
+        feats = read_feature_archive(root / "work" / "features" / "A0000.feat")
         assert feats.dims == 39
 
     def test_featurize_rerun_is_byte_identical(self, tiny_workspace, tmp_path):
@@ -425,17 +425,38 @@ class TestCliCommands:
         assert record["kind"] == "lda"
         assert record["sweeps"] is None and record["converged"] is None
 
-    def test_transform_none_rejected_for_hlda_mode(self, tiny_workspace, tmp_path):
-        root, cfg_path, manifest = tiny_workspace
+    @staticmethod
+    def train_exits_2_at_config_load(manifest, config_text, tmp_path, capsys) -> str:
         bad_cfg = tmp_path / "bad.ini"
-        bad_cfg.write_text(FULL_CONFIG.replace("transform = hlda", "transform = none"))
-        out = tmp_path / "w2"
-        assert front_end(manifest, bad_cfg, out) == 0
+        bad_cfg.write_text(config_text)
+        capsys.readouterr()
         rc = main([
             "train", "--manifest", str(manifest), "--config", str(bad_cfg),
-            "--out", str(out), "--mode", "baseline-hlda",
+            "--out", str(tmp_path / "w2"), "--mode", "baseline-hlda",
         ])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert f"accent-forge: data error: {bad_cfg}: invalid configuration:" in err and "Traceback" not in err
+        return err
+
+    def test_transform_none_rejected_for_hlda_mode(self, tiny_workspace, tmp_path, capsys):
+        # the transform is lda or hlda; any other value is refused as the config loads
+        root, cfg_path, manifest = tiny_workspace
+        err = self.train_exits_2_at_config_load(
+            manifest, FULL_CONFIG.replace("transform = hlda", "transform = none"), tmp_path, capsys
+        )
+        assert "transform must be lda|hlda, got 'none'" in err
+
+    def test_hlda_keeping_every_dim_exits_2_at_config_load(self, tiny_workspace, tmp_path, capsys):
+        # HLDA keeps at least one nuisance row, so it retains at most expanded - 1 dims; LDA may keep all
+        root, cfg_path, manifest = tiny_workspace
+        config_text = FULL_CONFIG.replace("context_size = 1", "context_size = 0").replace(
+            "reduced_dim = 8", "reduced_dim = 39")
+        err = self.train_exits_2_at_config_load(manifest, config_text, tmp_path, capsys)
+        assert "reduced_dim 39 must lie in 1..38 for hlda" in err
+        lda_cfg = tmp_path / "lda.ini"
+        lda_cfg.write_text(config_text.replace("transform = hlda", "transform = lda"))
+        assert load_config(lda_cfg).reduced_dim == 39
 
 
 class TestFeaturizeVariants:
@@ -448,7 +469,7 @@ class TestFeaturizeVariants:
         from accent_forge.features import read_feature_archive
 
         stacked = np.vstack([
-            read_feature_archive(p)[0].values for p in sorted((out / "features").glob("*.feat"))
+            read_feature_archive(p).values for p in sorted((out / "features").glob("*.feat"))
         ])
         assert np.max(np.abs(stacked.mean(axis=0))) < 1e-8
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) < 1e-6
@@ -627,7 +648,7 @@ def fresh_fit(manifest, cfg, ws):
     parsed, train = split_ids(manifest, cfg, "train")
     blocks, labels = [], []
     for entry in train:
-        feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+        feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")
         expanded = context_expand(feats, cfg.context_size)
         blocks.append(expanded.values)
         labels.append(np.full(expanded.n_frames, parsed.inventory.index(entry.accent)))
@@ -668,7 +689,7 @@ class TestSharedTransform:
         head = [pipeline.TRANSFORM_CACHE_FORMAT, config_fingerprint(cfg), parsed.inventory]
         digest = hashlib.sha256(json.dumps(head).encode("utf-8") + b"\n")
         for entry in train:
-            values = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0].values
+            values = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat").values
             digest.update(json.dumps([entry.utterance_id, entry.accent, *values.shape]).encode("utf-8") + b"\n")
             digest.update(values.astype("<f8").tobytes())
         assert record["key"] == digest.hexdigest()
@@ -691,8 +712,8 @@ class TestSharedTransform:
         if change == "train_features":
             _, train = split_ids(manifest, cfg, "train")
             path = ws / "features" / f"{train[-1].utterance_id}.feat"
-            (feats,) = read_feature_archive(path)
-            write_feature_archive(path, [feats.with_values(feats.values * 1.001)])
+            feats = read_feature_archive(path)
+            write_feature_archive(path, feats.with_values(feats.values * 1.001))
         elif change == "config":
             cfg = replace(cfg, em=replace(cfg.em, max_iters=cfg.em.max_iters + 1))
             pipeline.cmd_vad(manifest, cfg, ws)
@@ -732,8 +753,8 @@ class TestSharedTransform:
         pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
         _, test = split_ids(manifest, cfg, "test")
         path = ws / "features" / f"{test[0].utterance_id}.feat"
-        (feats,) = read_feature_archive(path)
-        write_feature_archive(path, [feats.with_values(feats.values * 1.001)])
+        feats = read_feature_archive(path)
+        write_feature_archive(path, feats.with_values(feats.values * 1.001))
         pipeline.cmd_train(manifest, cfg, ws, "baseline-hlda")
         assert len(calls) == 1
 
@@ -808,9 +829,10 @@ def reference_segments(manifest, ws, entry):
 
 def reference_projection(ws, cfg, entry):
     """entry's archived features, context-expanded and projected by the vowel models' transform."""
-    feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")[0]
+    feats = read_feature_archive(ws / "features" / f"{entry.utterance_id}.feat")
     transform = load_transform(ws / "models-vowel-hlda" / "transform.lin")
-    return feats, discriminant.project(transform, context_expand(feats, cfg.context_size))
+    expanded = context_expand(feats, cfg.context_size).values
+    return feats, feats.with_values(discriminant.project(transform, expanded))
 
 
 def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatch):
@@ -820,14 +842,14 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
     manifest, cfg, prepared = shared_ws
     ws = fresh_workspace(prepared, tmp_path)
     tables = []
-    real_table, real_score = pipeline._dev_scores, accent.mixture_log_likelihood
+    real_table, real_score = accent._dev_scores, accent.mixture_log_likelihood
 
     def recording(dev, model_set, vowels, tau, memo):
         tables.append((dev, vowels, tau))
         return real_table(dev, model_set, vowels, tau, memo)
 
     calls = []
-    monkeypatch.setattr(pipeline, "_dev_scores", recording)
+    monkeypatch.setattr(accent, "_dev_scores", recording)
     monkeypatch.setattr(accent, "mixture_log_likelihood", lambda m, X: calls.append(1) or real_score(m, X))
     pipeline.cmd_train(manifest, cfg, ws, "vowel-hlda")
 
@@ -1032,6 +1054,55 @@ def test_hlda_failure_exits_2_without_traceback(shared_ws, tmp_path, monkeypatch
     assert "Traceback" not in err
 
 
+def test_accent_with_one_training_frame_exits_2_naming_it(shared_ws, tmp_path, capsys):
+    # the transform's class statistics need two rows per accent
+    manifest, cfg, prepared = shared_ws
+    ws = fresh_workspace(prepared, tmp_path)
+    cfg_path = tmp_path / "ctx0.ini"
+    cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+    _, train = split_ids(manifest, cfg, "train")
+    thin = [e for e in train if e.accent == "B"]
+    for k, entry in enumerate(thin):
+        path = ws / "features" / f"{entry.utterance_id}.feat"
+        feats = read_feature_archive(path)
+        write_feature_archive(path, feats.with_values(feats.values[: 1 if k == 0 else 0]))
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+               "--out", str(ws), "--mode", "baseline-hlda"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "accent-forge: data error: baseline-hlda needs at least 2 training frames per accent" in err
+    assert "['B (1)']" in err and "Traceback" not in err
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_train_with_blas_variables_unset_equals_one_thread(shared_ws, tmp_path):
+    """The CLI pins one BLAS thread when the variables are unset, so every
+    model set it trains equals the one trained at OPENBLAS_NUM_THREADS=1."""
+    manifest, _, prepared = shared_ws
+    cfg_path = tmp_path / "ctx0.ini"
+    cfg_path.write_text(FULL_CONFIG.replace("context_size = 1", "context_size = 0"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    trees = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        ws = fresh_workspace(prepared, tmp_path / name)
+        for mode in pipeline.MODES:
+            subprocess.run(
+                [sys.executable, "-m", "accent_forge.cli", "train", "--manifest", str(manifest),
+                 "--config", str(cfg_path), "--out", str(ws), "--mode", mode],
+                env={**base, **extra}, capture_output=True, check=True,
+            )
+        trees.append({
+            str(p.relative_to(ws)): p.read_bytes() for p in sorted(ws.glob("models-*/**/*")) if p.is_file()
+        })
+    assert len(trees[0]) > 3 * len(pipeline.MODES)
+    assert trees[0] == trees[1]
+
+
 # What `evaluate --mode baseline-hlda` reads, each file with the readers that
 # take it on its own: model-set files are read through the model set
 EVALUATE_INPUTS = {
@@ -1178,7 +1249,7 @@ def test_baseline_caps_components_at_pool_frames(short_corpus, caplog):
     assert len(capped) == len(parsed.inventory)
     for lab in parsed.inventory:
         frames = sum(
-            read_feature_archive(ws / "features" / f"{e.utterance_id}.feat")[0].n_frames
+            read_feature_archive(ws / "features" / f"{e.utterance_id}.feat").n_frames
             for e in train if e.accent == lab
         )
         assert 0 < frames < 4096

@@ -54,12 +54,6 @@ class TestParseManifest:
         with pytest.raises(DataError, match=":2"):
             parse_manifest(path)
 
-    def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("u1\ta.wav\tZZ\n")
-        with pytest.raises(DataError, match="ZZ"):
-            parse_manifest(path, inventory=["AR", "BP"])
-
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("u1\ta.wav\tAR\njust-one-field\n")
@@ -119,11 +113,6 @@ class TestSplitDataset:
             ids = [u for u in split.tags if u.startswith(accent)]
             train_frac = sum(split.tags[u] == "train" for u in ids) / total
             assert 0.70 - 1 / total <= train_frac <= 0.70 + 1 / total
-
-    def test_bad_ratios(self, tmp_path):
-        manifest = manifest_with(tmp_path, {"AR": 10})
-        with pytest.raises(ValueError):
-            split_dataset(manifest, ratios=(0.5, 0.2, 0.2), seed=0)
 
 
 class TestParseAlignment:

@@ -441,14 +441,6 @@ class TestProject:
         t = LinearTransform("lda", np.array([[1.0, 0.0, 0.0, 0.0]]), 1)
         assert np.array_equal(project(t, X)[:, 0], X[:, 0])
 
-    def test_feature_matrix_metadata_preserved(self):
-        rng = np.random.default_rng(17)
-        f = FeatureMatrix(rng.standard_normal((5, 4)), "u", 12.5, 10.0)
-        t = LinearTransform("hlda", rng.standard_normal((4, 4)), 2)
-        out = project(t, f)
-        assert out.dims == 2
-        assert (out.utterance_id, out.start_ms, out.hop_ms) == ("u", 12.5, 10.0)
-
     def test_dimension_check(self):
         t = LinearTransform("lda", np.eye(3), 2)
         with pytest.raises(ValueError):

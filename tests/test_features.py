@@ -295,19 +295,15 @@ def test_full_chain_dimensions():
 
 def test_archive_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    mats = [
-        FeatureMatrix(rng.standard_normal((7, 5)), "utt1", 12.5, 10.0),
-        FeatureMatrix(rng.standard_normal((3, 5)), "utt2", 12.5, 10.0),
-    ]
+    orig = FeatureMatrix(rng.standard_normal((7, 5)), "utt1", 12.5, 10.0)
     path = tmp_path / "a.feat"
-    write_feature_archive(path, mats)
-    loaded = read_feature_archive(path)
-    assert [m.utterance_id for m in loaded] == ["utt1", "utt2"]
-    for orig, back in zip(mats, loaded):
-        assert np.array_equal(orig.values, back.values)
-        assert (back.start_ms, back.hop_ms) == (orig.start_ms, orig.hop_ms)
+    write_feature_archive(path, orig)
+    back = read_feature_archive(path)
+    assert back.utterance_id == "utt1"
+    assert np.array_equal(orig.values, back.values)
+    assert (back.start_ms, back.hop_ms) == (orig.start_ms, orig.hop_ms)
     first = path.read_bytes()
-    write_feature_archive(path, loaded)
+    write_feature_archive(path, back)
     assert path.read_bytes() == first
 
 
@@ -317,4 +313,4 @@ def test_archive_errors(tmp_path):
     with pytest.raises(DataError):
         read_feature_archive(path)
     with pytest.raises(ValueError):
-        write_feature_archive(tmp_path / "x.feat", [FeatureMatrix(np.zeros((1, 1)), "has space")])
+        write_feature_archive(tmp_path / "x.feat", FeatureMatrix(np.zeros((1, 1)), "has space"))

@@ -44,6 +44,7 @@ NOT_UTF8 = b"\xff\xfe\n"
 READERS = {
     "transform": (load_transform, "t.lin"),
     "features": (read_feature_archive, "u.feat"),
+    "features_empty": (read_feature_archive, "v.feat"),  # an utterance vad kept no speech of
     "mask": (load_mask, "u.mask"),
     "gmm": (load_gmm, "u.gmm"),
     "alignment": (parse_alignment, "u.ali"),
@@ -78,6 +79,9 @@ DAMAGED = {
     "features-negative_hop": b"ACFEAT1 u 1 2 0.0 -10.0\n" + f64(1.0, 2.0),
     "features-zero_hop": b"ACFEAT1 u 1 2 0.0 0.0\n" + f64(1.0, 2.0),
     "features-non_ascii_dims": "ACFEAT1 u \u0661 2 0.0 10.0\n".encode("utf-8") + f64(1.0, 2.0),
+    "features-empty_file": b"",
+    "features-trailing_bytes": b"ACFEAT1 u 1 1 0.0 10.0\n" + f64(1.0) + b"\x00",
+    "features-two_records": (b"ACFEAT1 u 1 1 0.0 10.0\n" + f64(1.0)) * 2,
     "mask-not_utf8": NOT_UTF8,
     "mask-non_numeric_count": b"ACMASK1 u 400 200 8000 x\n1\n",
     "mask-non_ascii_bits": "ACMASK1 u 400 200 8000 1\né\n".encode("utf-8"),
@@ -106,6 +110,8 @@ DAMAGED = {
     "config-nan_rel_tol": b"[em]\nrel_tol = nan\n",
     "config-nan_threshold_weight": b"[vad]\nthreshold_weight = NaN\n",
     "config-inf_duration": b"[synth]\nduration_s = inf\n",
+    "config-transform_none": b"[model]\ntransform = none\n",
+    "config-hlda_keeping_every_dim": b"[model]\ntransform = hlda\ncontext_size = 0\nreduced_dim = 39\n",
     "model_set-not_utf8": NOT_UTF8,
     "eval_report-not_utf8": NOT_UTF8,
     "eval_report-a_list": b"[1, 2]\n",
@@ -179,10 +185,9 @@ def test_well_formed_file_reads(tmp_path, kind):
 # One value of each record kind, and its writer taking what its reader returns
 RECORDS = {
     "transform": (save_transform, LinearTransform("hlda", np.array([[2.0, 0.5], [-0.25, 1.0]]), 1)),
-    "features": (write_feature_archive, [
-        FeatureMatrix(np.arange(6.0).reshape(3, 2) / 3.0, "\u00e9t\u00e9-1", 12.5, 10.0),
-        FeatureMatrix(np.zeros((0, 2)), "v", 0.0, 8.0),
-    ]),
+    "features": (write_feature_archive,
+                 FeatureMatrix(np.arange(6.0).reshape(3, 2) / 3.0, "\u00e9t\u00e9-1", 12.5, 10.0)),
+    "features_empty": (write_feature_archive, FeatureMatrix(np.zeros((0, 2)), "v", 0.0, 8.0)),
     "mask": (lambda path, loaded: save_mask(path, *loaded),
              ("u", SpeechMask(np.array([True, False, True, True]), 400, 200, 8000))),
     "gmm": (save_gmm, GmmModel(np.array([0.25, 0.75]), np.array([[0.1], [-3.0]]), np.array([[1.0], [0.5]]))),
