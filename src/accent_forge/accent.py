@@ -2,8 +2,9 @@
 
 The baseline scores an utterance against one mixture model per accent and
 takes the best total log likelihood. The vowel-combined classifier scores
-each vowel's frames against per-accent, per-vowel models, averages per
-frame, and fuses the vowel scores with vowel-proportion weights;
+each vowel's frames against per-accent, per-vowel models, divides each
+total by the vowel's frame count, and fuses the vowel scores with
+vowel-proportion weights;
 train_vowel_set fits those models and picks their vowel subset and
 confidence threshold on dev.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .corpus import VOWELS
+from .corpus import VOWELS, vowel_rows
 from .errors import ConsistencyError, DataError
 from .gmm import EmOptions, GmmModel, PreparedFrames, em_fit, load_gmm, mixture_log_likelihood, save_gmm
 
@@ -154,36 +155,30 @@ def _fuse_vowel_scores(
     labels: list[str],
     weights: dict[str, float],
     present: list[tuple[str, int, dict[str, float]]],
-    frame_normalized: bool,
 ) -> tuple[str, dict[str, float]]:
     """Predicted label and fused scores from (vowel, frame count, totals) triples.
 
-    The weights of the vowels present are renormalized to sum to one, or
-    made equal when they sum to zero; the sums run in the order of present,
-    so equal inputs give equal bits.
+    Each vowel's total is scaled by w / k: its weight w, renormalized over
+    the vowels present (or made equal when they sum to zero), over its
+    frame count k. The sums run in the order of present, so equal inputs
+    give equal bits.
     """
     weight_total = sum(weights[v] for v, _, _ in present)
     scores = {lab: 0.0 for lab in labels}
     for v, k, totals in present:
-        w = weights[v] / weight_total if weight_total > 0 else 1.0 / len(present)
-        scale = w / k if frame_normalized else w
+        scale = (weights[v] / weight_total if weight_total > 0 else 1.0 / len(present)) / k
         for lab in labels:
             scores[lab] += scale * totals[lab]
     return _best_label(labels, scores), scores
 
 
-def classify_vowel(
-    models: VowelModelSet,
-    per_vowel_X: dict[str, np.ndarray],
-    frame_normalized: bool = True,
-) -> ClassificationResult:
+def classify_vowel(models: VowelModelSet, per_vowel_X: dict[str, np.ndarray]) -> ClassificationResult:
     """Fuse per-vowel mixture scores with vowel-proportion weights.
 
     Vowels absent from the utterance contribute nothing and their weight is
-    renormalized over the vowels present. With frame_normalized=True
-    (default) each vowel's total log likelihood is divided by its frame
-    count so the weights remain the only frequency channel; False sums raw
-    log likelihoods instead.
+    renormalized over the vowels present. Each vowel's total log likelihood
+    is divided by its frame count, so the weights remain the only frequency
+    channel.
     """
     present = []
     for v, X in per_vowel_X.items():
@@ -195,12 +190,12 @@ def classify_vowel(
     if not present:
         raise DataError("no vowel frames available for classification")
 
-    predicted, scores = _fuse_vowel_scores(models.labels, models.weights, present, frame_normalized)
+    predicted, scores = _fuse_vowel_scores(models.labels, models.weights, present)
     frames = {v: k for v, k, _ in present}
     return ClassificationResult(predicted, scores, frames)
 
 
-def _dev_accuracy(dev_scores, labels, weights, subset, frame_normalized) -> int:
+def _dev_accuracy(dev_scores, labels, weights, subset) -> int:
     """Dev utterances classify_vowel labels correctly from their scored vowels.
 
     dev_scores holds (true label, {vowel: (frames, per-accent totals)}) per
@@ -210,7 +205,7 @@ def _dev_accuracy(dev_scores, labels, weights, subset, frame_normalized) -> int:
     correct = 0
     for true_label, scores in dev_scores:
         present = [(v, *scores[v]) for v in subset if v in scores]
-        if present and _fuse_vowel_scores(labels, weights, present, frame_normalized)[0] == true_label:
+        if present and _fuse_vowel_scores(labels, weights, present)[0] == true_label:
             correct += 1
     return correct
 
@@ -219,7 +214,6 @@ def select_vowel_subset(
     dev_scores: list[tuple[str, dict[str, tuple[int, dict[str, float]]]]],
     models: VowelModelSet,
     subset_size: int,
-    frame_normalized: bool = True,
 ) -> list[str]:
     """Greedy forward selection of the vowels that maximize dev accuracy.
 
@@ -243,7 +237,7 @@ def select_vowel_subset(
         raw = [models.weights.get(v, 0.0) for v in subset]
         total = sum(raw)
         weights = {v: w / total if total > 0 else 1.0 / len(subset) for v, w in zip(subset, raw)}
-        return _dev_accuracy(dev_scores, models.labels, weights, subset, frame_normalized)
+        return _dev_accuracy(dev_scores, models.labels, weights, subset)
 
     chosen: list[str] = []
     for _ in range(subset_size):  # max keeps the first of equals: inventory order
@@ -256,27 +250,27 @@ def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -
     """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
 
     dev holds (accent, model input rows, vowel table) per utterance. A
-    vowel's rows are those whose table entry is at least tau, and a vowel
-    without such rows is left out. As tau rises, one utterance's rows of one
-    vowel only lose members, so its row sets are nested and two of equal
-    size are equal: memo, keyed by (utterance index, vowel, row count),
-    scores each set once across every call that shares it.
+    vowel's rows are its vowel_rows at tau, and a vowel without such rows
+    is left out. As tau rises, one utterance's rows of one vowel only lose
+    members, so its row sets are nested and two of equal size are equal:
+    memo, keyed by (utterance index, vowel, row count), scores each set once
+    across every call that shares it.
     """
     table = []
     for ui, (accent, rows, vowel_table) in enumerate(dev):
         scores = {}
         for v in vowels:
-            keep = vowel_table[:, VOWELS.index(v)] >= tau
-            key = (ui, v, int(np.count_nonzero(keep)))
+            kept = vowel_rows(rows, vowel_table, v, tau)
+            key = (ui, v, kept.shape[0])
             if key not in memo:
-                memo[key] = _score_vowel(model_set, v, rows[keep])
+                memo[key] = _score_vowel(model_set, v, kept)
             if memo[key] is not None:
                 scores[v] = memo[key]
         table.append((accent, scores))
     return table
 
 
-def _tune_confidence_threshold(dev, segments, model_set, subset, weights, frame_normalized, memo) -> float:
+def _tune_confidence_threshold(dev, segments, model_set, subset, weights, memo) -> float:
     """Grid search over dev-confidence percentiles for the best filter threshold.
 
     segments are the dev set's segments; the grid holds -inf and the deciles
@@ -291,7 +285,7 @@ def _tune_confidence_threshold(dev, segments, model_set, subset, weights, frame_
         {float(np.percentile(confidences, p)) for p in range(0, 100, 10)}
     )
     return max(grid, key=lambda tau: _dev_accuracy(
-        _dev_scores(dev, model_set, subset, tau, memo), model_set.labels, weights, subset, frame_normalized
+        _dev_scores(dev, model_set, subset, tau, memo), model_set.labels, weights, subset
     ))
 
 
@@ -303,7 +297,6 @@ def train_vowel_set(
     n_components: int,
     opts: EmOptions,
     subset_size: int,
-    frame_normalized: bool = True,
 ) -> VowelModelSet:
     """Per-accent, per-vowel models with their vowel subset, weights and τ chosen on dev.
 
@@ -326,11 +319,10 @@ def train_vowel_set(
     all_vowels = VowelModelSet(labels, vowels, vowel_weights(frame_counts, vowels), models)
 
     memo: dict = {}  # shared by selection and every τ grid point
-    subset = select_vowel_subset(
-        _dev_scores(dev, all_vowels, vowels, float("-inf"), memo), all_vowels, subset_size, frame_normalized
-    )
+    dev_scores = _dev_scores(dev, all_vowels, vowels, float("-inf"), memo)
+    subset = select_vowel_subset(dev_scores, all_vowels, subset_size)
     weights = vowel_weights(frame_counts, subset)
-    tau = _tune_confidence_threshold(dev, dev_segments, all_vowels, subset, weights, frame_normalized, memo)
+    tau = _tune_confidence_threshold(dev, dev_segments, all_vowels, subset, weights, memo)
     return replace(
         all_vowels, subset=subset, weights=weights, confidence_tau=tau,
         models={(lab, v): models[(lab, v)] for lab in labels for v in subset},
@@ -393,6 +385,7 @@ def load_model_set(in_dir):
     subset: list[str] = []
     weights: dict[str, float] = {}
     models: dict[tuple[str, ...], GmmModel] = {}
+    seen: set[str] = set()  # save_model_set writes each line below once
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.split():
@@ -403,6 +396,11 @@ def load_model_set(in_dir):
             raise DataError(f"{where}: unrecognized line in a {kind} manifest: {line!r}")
         if not fields or (arity[tag] and len(fields) != arity[tag]):
             raise DataError(f"{where}: wrong number of fields in {tag!r} line: {line!r}")
+        once = (f"model for {' '.join(fields[:-2])}" if tag == "gmm"
+                else f"weight for {fields[0]}" if tag == "weight" else f"{tag} line")
+        if once in seen:
+            raise DataError(f"{where}: a second {once}")
+        seen.add(once)
         try:
             value = float(fields[-1]) if tag in ("tau", "weight") else None
         except ValueError:
@@ -421,14 +419,13 @@ def load_model_set(in_dir):
         elif tag == "tau":
             tau = value
         elif tag == "subset":
+            if len(set(fields)) != len(fields):
+                raise DataError(f"{where}: a vowel listed twice in {line!r}")
             subset = fields
         elif tag == "weight":
             weights[fields[0]] = value
         else:
-            key = tuple(fields[:-2])
-            if key in models:
-                raise DataError(f"{where}: a second model for {' '.join(key)}")
-            models[key] = load_gmm(path)
+            models[tuple(fields[:-2])] = load_gmm(path)
 
     labels = list(dict.fromkeys(key[0] for key in models))  # in order of first appearance
     try:

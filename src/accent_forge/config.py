@@ -50,15 +50,18 @@ class PipelineConfig:
     transform: str = "hlda"  # lda | hlda
     n_components: int = 256
     vowel_subset_size: int = 7
-    mvn_scope: str = "utterance"  # utterance | global
-    frame_normalized_vowel_scores: bool = True
+    # one legal value each: config files set these keys and the fingerprint hashes them
+    mvn_scope: str = "utterance"  # features are normalized per utterance
+    frame_normalized_vowel_scores: bool = True  # a vowel's score is its mean frame log likelihood
     seed: int = 0
 
     def __post_init__(self):
         if self.transform not in ("lda", "hlda"):
             raise ValueError(f"transform must be lda|hlda, got {self.transform!r}")
-        if self.mvn_scope not in ("utterance", "global"):
-            raise ValueError(f"mvn_scope must be utterance|global, got {self.mvn_scope!r}")
+        if self.mvn_scope != "utterance":
+            raise ValueError(f"mvn_scope must be utterance, got {self.mvn_scope!r}")
+        if self.frame_normalized_vowel_scores is not True:
+            raise ValueError("frame_normalized_vowel_scores must be true")
         if self.context_size < 0:
             raise ValueError("context_size must be >= 0")
         expanded = 3 * self.plp.num_cepstra * (2 * self.context_size + 1)
@@ -122,11 +125,15 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 
     seed = values["run"].get("seed", 0) if seed_override is None else seed_override
     values["em"]["seed"] = seed
-    try:
-        sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
-        return PipelineConfig(**sections, **values["model"], seed=seed)
-    except ValueError as exc:
-        raise DataError(f"{path}: invalid configuration: {exc}")
+
+    def build(section: str, cls, **more):
+        try:
+            return cls(**values[section], **more)
+        except ValueError as exc:
+            raise DataError(f"{path}: invalid configuration: [{section}] {exc}")
+
+    sections = {name: build(name, cls) for name, cls in _SECTIONS.items()}
+    return build("model", PipelineConfig, **sections, seed=seed)
 
 
 def default_config(seed: int = 0) -> PipelineConfig:

@@ -4,8 +4,9 @@ Alignments are produced by external tooling and consumed here from plain
 text files; nothing in this package performs phone recognition. An
 utterance's alignment is remapped onto silence-removed time once and then
 labels its feature frames once, as a vowel table: per frame and vowel, the
-best confidence of the segments that cover the frame. Every vowel's rows,
-at any confidence threshold, are a comparison on one of its columns.
+best confidence of the segments that cover the frame. extract_vowel_frames
+writes the table and vowel_rows is its one reader: a vowel's rows, at any
+confidence threshold, are a comparison on one of its columns.
 """
 
 from __future__ import annotations
@@ -183,10 +184,8 @@ def extract_vowel_frames(f: FeatureMatrix, segments) -> np.ndarray:
     Entry (i, j) is the highest confidence among the segments of vowel j
     whose half-open interval [start, end) holds the centre of frame i; an
     unscored segment counts as -inf, and a frame no such segment covers
-    holds NaN. So f.values[table[:, j] >= tau] are vowel j's frames under
-    the segments whose confidence clears tau, and tau = -inf keeps unscored
-    segments too. A frame inside two vowels' segments is in both columns;
-    other phones are ignored.
+    holds NaN. A frame inside two vowels' segments is in both columns;
+    other phones are ignored. vowel_rows reads the table.
     """
     centers = f.frame_centers_s()
     table = np.full((f.n_frames, len(VOWELS)), np.nan)
@@ -196,6 +195,14 @@ def extract_vowel_frames(f: FeatureMatrix, segments) -> np.ndarray:
             confidence = float("-inf") if s.confidence is None else s.confidence
             np.fmax(column, confidence, out=column, where=(centers >= s.start) & (centers < s.end))
     return table
+
+
+def vowel_rows(rows: np.ndarray, table: np.ndarray, vowel: str, tau: float) -> np.ndarray:
+    """The rows, one per frame of the table, that vowel's segments of confidence at least tau cover.
+
+    A frame no segment of the vowel covers is never kept; tau = -inf keeps every covered frame.
+    """
+    return rows[table[:, VOWELS.index(vowel)] >= tau]
 
 
 def remap_segments(mask: SpeechMask, segments) -> list[AlignmentSegment]:

@@ -1,4 +1,4 @@
-"""Perceptual linear prediction features with normalization and context expansion.
+"""Perceptual linear prediction features with per-utterance normalization and context expansion.
 
 The static front end: pre-emphasis, Hamming-windowed framing, power spectrum,
 critical-band (Bark) integration with trapezoidal filters, equal-loudness
@@ -35,12 +35,20 @@ class PlpConfig:
     delta_window: int = 2
 
     def __post_init__(self):
+        if self.frame_len_ms <= 0:
+            raise ValueError("frame_len_ms must be positive")
+        if self.hop_ms <= 0:
+            raise ValueError("hop_ms must be positive")
         if self.lp_order < 2:
             raise ValueError("lp_order must be >= 2")
-        if self.num_cepstra > self.lp_order + 1:
-            raise ValueError("num_cepstra must be <= lp_order + 1")
+        if not 1 <= self.num_cepstra <= self.lp_order + 1:
+            raise ValueError("num_cepstra must lie in 1..lp_order + 1")
+        if self.num_bark_bands is not None and self.num_bark_bands < self.lp_order + 1:
+            raise ValueError("num_bark_bands must be >= lp_order + 1")
         if not 0.0 <= self.preemphasis < 1.0:
             raise ValueError("preemphasis must lie in [0, 1)")
+        if self.delta_window < 1:
+            raise ValueError("delta_window must be >= 1")
 
 
 @dataclass
@@ -237,20 +245,8 @@ def mvn(f: FeatureMatrix) -> FeatureMatrix:
     Zero-variance dimensions are mean-subtracted only; a single-frame input
     therefore comes back as all zeros.
     """
-    mean = f.values.mean(axis=0)
     std = f.values.std(axis=0)
-    return f.with_values(apply_mvn(f.values, mean, std))
-
-
-def mvn_stats(matrices) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled per-dimension mean and standard deviation over several matrices."""
-    stacked = np.vstack([m.values for m in matrices])
-    return stacked.mean(axis=0), stacked.std(axis=0)
-
-
-def apply_mvn(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    safe = np.where(std == 0.0, 1.0, std)
-    return (values - mean) / safe
+    return f.with_values((f.values - f.values.mean(axis=0)) / np.where(std == 0.0, 1.0, std))
 
 
 def context_expand(f: FeatureMatrix, context: int, out: np.ndarray | None = None) -> FeatureMatrix:

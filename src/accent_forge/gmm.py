@@ -92,6 +92,8 @@ class EmOptions:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.variance_floor_factor < 0:
+            raise ValueError("variance_floor_factor must be >= 0")
 
 
 def _as_matrix(x) -> np.ndarray:

@@ -44,6 +44,7 @@ from .corpus import (
     parse_manifest,
     remap_segments,
     split_dataset,
+    vowel_rows,
 )
 from .discriminant import (
     LabeledFeatures,
@@ -59,10 +60,8 @@ from .errors import ConsistencyError, DataError, UsageError
 from .features import (
     FeatureMatrix,
     append_deltas,
-    apply_mvn,
     context_expand,
     mvn,
-    mvn_stats,
     plp_static,
     read_feature_archive,
     write_feature_archive,
@@ -170,7 +169,7 @@ def cmd_vad(manifest_path, cfg: PipelineConfig, out_dir) -> VadReport:
 
 
 def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
-    """Extract normalized features from the speech vad kept and archive them per utterance."""
+    """Extract features from the speech vad kept, normalize each utterance's and archive them."""
     manifest_path = Path(manifest_path)
     manifest = parse_manifest(manifest_path)
     root = Path(out_dir)
@@ -191,23 +190,15 @@ def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
             raise ConsistencyError(
                 f"{mask_path} does not frame {wav} as the [vad] configuration does; run vad again"
             )
-        try:  # a sample rate or [plp] setting the front end cannot analyze
+        try:  # a sample rate the front end cannot analyze, or one with too few critical bands for lp_order
             static = plp_static(masked_speech(audio, mask), cfg.plp, entry.utterance_id)
             if static.n_frames == 0:
                 return static.with_values(np.zeros((0, 3 * cfg.plp.num_cepstra)))
-            return append_deltas(static, cfg.plp.delta_window)
+            return mvn(append_deltas(static, cfg.plp.delta_window))
         except ValueError as exc:
             raise DataError(f"{wav}: {exc}") from None
 
     feats = _map_ordered(extract, manifest.entries)
-    if cfg.mvn_scope == "global":
-        usable = [f for f in feats if f.n_frames > 0]
-        if usable:
-            mean, std = mvn_stats(usable)
-            feats = [f.with_values(apply_mvn(f.values, mean, std)) for f in feats]
-    else:
-        feats = [mvn(f) if f.n_frames > 0 else f for f in feats]
-
     for entry, f in zip(manifest.entries, feats):
         write_feature_archive(feat_dir / f"{entry.utterance_id}.feat", f)
     _write_fingerprint(feat_dir, fingerprint)
@@ -365,7 +356,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
 
     One pass over the train utterances splits each one's model input into
     row pools keyed (accent,), or (accent, vowel) in vowel-hlda mode, where
-    a vowel's pool takes the rows its column of the vowel table covers.
+    a vowel's pool takes its vowel_rows at tau = -inf: every row it covers.
     """
     run = _open_run(manifest_path, cfg, out_dir, mode, "training")
     train_feats = [(e.accent, run.features(e)) for e in run.parts["train"]]
@@ -389,7 +380,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
     for entry, (accent, feats) in zip(run.parts["train"], train_feats):
         rows, table = run.model_input(feats, transform, run.vowel_segments(entry) if vowel else None)
         if vowel:
-            parts = {(accent, v): rows[~np.isnan(table[:, j])] for j, v in enumerate(VOWELS)}
+            parts = {(accent, v): vowel_rows(rows, table, v, float("-inf")) for v in VOWELS}
         else:
             parts = {(accent,): rows}
         for key, values in parts.items():
@@ -403,8 +394,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
             dev.append((e.accent, *run.model_input(run.features(e), transform, segments)))
             dev_segments += segments
         model_set = train_vowel_set(
-            pools, run.labels, dev, dev_segments, cfg.n_components, cfg.em,
-            cfg.vowel_subset_size, cfg.frame_normalized_vowel_scores,
+            pools, run.labels, dev, dev_segments, cfg.n_components, cfg.em, cfg.vowel_subset_size
         )
     else:
         models = train_pools(pools, run.labels, cfg.n_components, cfg.em)
@@ -445,9 +435,8 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_e
         try:
             rows, table = run.model_input(feats, transform, segments)
             if vowel:
-                tau = model_set.confidence_tau
-                per_vowel = {v: rows[table[:, VOWELS.index(v)] >= tau] for v in model_set.subset}
-                result = classify_vowel(model_set, per_vowel, cfg.frame_normalized_vowel_scores)
+                per_vowel = {v: vowel_rows(rows, table, v, model_set.confidence_tau) for v in model_set.subset}
+                result = classify_vowel(model_set, per_vowel)
             else:
                 result = classify_baseline(model_set, rows)
         except (DataError, ValueError) as exc:

@@ -264,27 +264,21 @@ class TestClassifyVowel:
         totals = {"b": {"A": -6.0, "B": -3.0}, "c": {"A": -2.0, "B": -8.0}}
         weights = {"a": 1.0, "b": zero, "c": zero}
         present = [("b", 3, totals["b"]), ("c", 2, totals["c"])]
-        for normalized in (True, False):
-            predicted, scores = accent._fuse_vowel_scores(["A", "B"], weights, present, normalized)
-            expected = {
-                lab: sum(0.5 / (k if normalized else 1) * t[lab] for _, k, t in present)
-                for lab in ("A", "B")
-            }
-            assert scores == pytest.approx(expected, rel=1e-15)
-            assert predicted == max(expected, key=expected.get)
-        predicted, scores = accent._fuse_vowel_scores(
-            ["A", "B"], weights, [("b", 3, totals["b"])], True
-        )
+        predicted, scores = accent._fuse_vowel_scores(["A", "B"], weights, present)
+        expected = {lab: sum(0.5 / k * t[lab] for _, k, t in present) for lab in ("A", "B")}
+        assert scores == pytest.approx(expected, rel=1e-15)
+        assert predicted == max(expected, key=expected.get)
+        predicted, scores = accent._fuse_vowel_scores(["A", "B"], weights, [("b", 3, totals["b"])])
         assert predicted == "B" and scores == {"A": -2.0, "B": -1.0}
 
-    def test_strict_literal_mode_scales_by_frames(self):
+    def test_score_is_the_total_log_likelihood_over_the_frame_count(self):
         vset = vowel_set_for(["A", "B"], ["aa"], lambda lab, v: single_gaussian(0.0 if lab == "A" else 2.0))
         rng = np.random.default_rng(11)
         X = rng.standard_normal((10, 2))
-        normalized = classify_vowel(vset, {"aa": X}, frame_normalized=True)
-        literal = classify_vowel(vset, {"aa": X}, frame_normalized=False)
+        result = classify_vowel(vset, {"aa": X})
         for lab in ("A", "B"):
-            assert literal.scores[lab] == pytest.approx(10 * normalized.scores[lab], rel=1e-12)
+            total = mixture_log_likelihood(vset.models[(lab, "aa")], X)
+            assert result.scores[lab] == pytest.approx(total / 10, rel=1e-15)
 
 
 def segment_dev(dev):
@@ -387,7 +381,7 @@ class TestSelectVowelSubset:
             select_vowel_subset(dev_table(dev, vset), vset, 1)
 
 
-def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
+def naive_select_vowel_subset(dev, models, subset_size):
     """Reference greedy selection: one classify_vowel call per trial and utterance."""
     candidates = [v for v in VOWELS if v in models.subset]
     subset_size = min(subset_size, len(candidates))
@@ -408,7 +402,7 @@ def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
         for true, per_vowel in usable:
             restricted = {v: per_vowel[v] for v in subset if v in per_vowel}
             try:
-                correct += classify_vowel(trial, restricted, frame_normalized).predicted == true
+                correct += classify_vowel(trial, restricted).predicted == true
             except DataError:
                 pass
         return correct / len(usable)
@@ -425,7 +419,7 @@ def naive_select_vowel_subset(dev, models, subset_size, frame_normalized=True):
     return chosen
 
 
-def naive_tune_confidence_threshold(dev_segment_lists, model_set, subset, weights, frame_normalized):
+def naive_tune_confidence_threshold(dev_segment_lists, model_set, subset, weights):
     """Reference τ search: re-extract and re-classify every utterance at every grid point."""
     confidences = [
         s.confidence for _, _, segments in dev_segment_lists for s in segments
@@ -441,7 +435,7 @@ def naive_tune_confidence_threshold(dev_segment_lists, model_set, subset, weight
         for true, projected, segments in dev_segment_lists:
             per_vowel = {v: reference_vowel_rows(projected, segments, v, tau) for v in subset}
             try:
-                correct += classify_vowel(trial, per_vowel, frame_normalized).predicted == true
+                correct += classify_vowel(trial, per_vowel).predicted == true
             except DataError:
                 pass
         acc = correct / len(dev_segment_lists)
@@ -489,21 +483,18 @@ def random_dev(rng, labels, vowels, centers, n_utts):
 
 
 class TestCachedVowelScoring:
-    @pytest.mark.parametrize("frame_normalized", [True, False])
     @pytest.mark.parametrize("seed", range(8))
-    def test_selection_matches_naive_reference(self, seed, frame_normalized):
+    def test_selection_matches_naive_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
         labels = ["A", "B", "C"][: 2 + seed % 2]
         vowels = sorted(rng.choice(VOWELS[:12], 5, replace=False), key=VOWELS.index)
         vset, centers = random_vowel_set(rng, labels, vowels)
         dev = random_dev(rng, labels, vowels, centers, 14)
         for size in (1, 3, 5):
-            assert select_vowel_subset(dev_table(dev, vset), vset, size, frame_normalized) == (
-                naive_select_vowel_subset(dev, vset, size, frame_normalized)
-            )
+            expected = naive_select_vowel_subset(dev, vset, size)
+            assert select_vowel_subset(dev_table(dev, vset), vset, size) == expected
 
-    @pytest.mark.parametrize("frame_normalized", [True, False])
-    def test_selection_all_ties_matches_naive_reference(self, frame_normalized):
+    def test_selection_all_ties_matches_naive_reference(self):
         # identical models for every accent: every utterance ties and goes to "A",
         # so only the frames each subset covers separate the trials
         rng = np.random.default_rng(7)
@@ -513,9 +504,8 @@ class TestCachedVowelScoring:
         centers = {(lab, v): np.zeros(2) for lab in "ABC" for v in vowels}
         dev = random_dev(rng, ["A", "B", "C"], vowels, centers, 10)
         for size in (1, 2, 4):
-            assert select_vowel_subset(dev_table(dev, vset), vset, size, frame_normalized) == (
-                naive_select_vowel_subset(dev, vset, size, frame_normalized)
-            )
+            expected = naive_select_vowel_subset(dev, vset, size)
+            assert select_vowel_subset(dev_table(dev, vset), vset, size) == expected
 
     def test_fused_scores_follow_the_weighting_formula(self):
         rng = np.random.default_rng(21)
@@ -562,18 +552,13 @@ class TestCachedVowelScoring:
         assert max(calls.values()) == 1
         assert sum(calls.values()) == present * len(labels)
 
-    @pytest.mark.parametrize("frame_normalized", [True, False])
     @pytest.mark.parametrize("seed", range(10))
-    def test_tau_tuning_matches_naive_reference(self, seed, frame_normalized):
+    def test_tau_tuning_matches_naive_reference(self, seed):
         dev_segment_lists, vset, subset, weights = tau_case(seed)
         dev, memo = table_dev(dev_segment_lists), {}  # memo filled by the selection table first
         accent._dev_scores(dev, vset, vset.subset, float("-inf"), memo)
-        tau = accent._tune_confidence_threshold(
-            dev, all_segments(dev_segment_lists), vset, subset, weights, frame_normalized, memo
-        )
-        assert tau == naive_tune_confidence_threshold(
-            dev_segment_lists, vset, subset, weights, frame_normalized
-        )
+        tau = accent._tune_confidence_threshold(dev, all_segments(dev_segment_lists), vset, subset, weights, memo)
+        assert tau == naive_tune_confidence_threshold(dev_segment_lists, vset, subset, weights)
 
     def test_tau_cases_reach_several_grid_points(self):
         # the equivalence cases only tell something if they pick different τ
@@ -581,7 +566,7 @@ class TestCachedVowelScoring:
         for seed in range(10):
             lists, vset, subset, weights = tau_case(seed)
             picked.add(accent._tune_confidence_threshold(table_dev(lists), all_segments(lists), vset, subset,
-                                                         weights, True, {}))
+                                                         weights, {}))
         assert len(picked) >= 3
         assert float("-inf") in picked
 

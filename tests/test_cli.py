@@ -152,17 +152,27 @@ class TestConfig:
         # Every artifact stores its config's fingerprint, so a new value here
         # orphans every existing workspace. The last file sets every key.
         full = tmp_path / "full.ini"
-        full.write_text(FULL_CONFIG.replace("delta_window = 2", "delta_window = 2\nnum_bark_bands = 15")
-                        .replace("frame_normalized_vowel_scores = true", "frame_normalized_vowel_scores = off"))
+        full.write_text(FULL_CONFIG.replace("delta_window = 2", "delta_window = 2\nnum_bark_bands = 15"))
         pinned = {
             "d74cbff28fe1c111e66dc79bd8d5daf605d577ba4c2db425d9831a491d10e413": default_config(),
             "13ebb01fa45d05d37e1c255df3c5b6d4c3da7dc9c5aa0c651441fcf653261f26": default_config(7),
             "c85f7c12479530b54ff7c5694097324fe770c89ed188f6ebb775d28512ed3e89":
                 load_config(Path(__file__).resolve().parents[1] / "example-config.ini"),
-            "ada842fbe16cf49da92c97bd4b6f48621a9d4592146035ef036bd2bee02b8057": load_config(full),
+            "682c111f719716823bc37257c09453f649d06fd114dfc31c70500da3c4344d3d": load_config(full),
         }
         for expected, cfg in pinned.items():
             assert config_fingerprint(cfg) == expected
+
+    def test_every_shipped_config_loads(self):
+        # each sets the two one-value [model] keys; the digests are the benchmark's workspaces' too
+        repo = Path(__file__).resolve().parents[1]
+        paths = [repo / "example-config.ini", *sorted(repo.glob("bench/workloads/*.ini"))]
+        assert {path.name: config_fingerprint(load_config(path)) for path in paths} == {
+            "example-config.ini": "c85f7c12479530b54ff7c5694097324fe770c89ed188f6ebb775d28512ed3e89",
+            "frontend.ini": "edd6e8012671addef48a940664d5dcbb0759c1b6fdae3089ef2b697530fb5c4b",
+            "reference.ini": "04f6ed07bb7a3f60b6e95e9e59f7153f42e430edfb5636864a6a95a5491aebf2",
+            "warmup.ini": "162f6be963bf57a612242955640d6195f7306ffdf50e957605b29dd8d35cee7e",
+        }
 
 
 class TestEvaluationReport:
@@ -458,22 +468,18 @@ class TestCliCommands:
         lda_cfg.write_text(config_text.replace("transform = hlda", "transform = lda"))
         assert load_config(lda_cfg).reduced_dim == 39
 
+    @pytest.mark.parametrize("line, message", [
+        ("mvn_scope = global", "[model] mvn_scope must be utterance, got 'global'"),
+        ("frame_normalized_vowel_scores = false", "[model] frame_normalized_vowel_scores must be true"),
+    ])
+    def test_one_value_model_keys_exit_2_at_config_load(self, tiny_workspace, tmp_path, capsys, line, message):
+        root, cfg_path, manifest = tiny_workspace
+        key = line.split()[0]
+        config_text = "\n".join(line if text.startswith(key) else text for text in FULL_CONFIG.splitlines())
+        assert message in self.train_exits_2_at_config_load(manifest, config_text, tmp_path, capsys)
+
 
 class TestFeaturizeVariants:
-    def test_global_mvn_scope(self, tiny_workspace, tmp_path):
-        root, cfg_path, manifest = tiny_workspace
-        cfg2 = tmp_path / "g.ini"
-        cfg2.write_text(FULL_CONFIG.replace("mvn_scope = utterance", "mvn_scope = global"))
-        out = tmp_path / "gw"
-        assert front_end(manifest, cfg2, out) == 0
-        from accent_forge.features import read_feature_archive
-
-        stacked = np.vstack([
-            read_feature_archive(p).values for p in sorted((out / "features").glob("*.feat"))
-        ])
-        assert np.max(np.abs(stacked.mean(axis=0))) < 1e-8
-        assert np.max(np.abs(stacked.std(axis=0) - 1.0)) < 1e-6
-
     def test_unreadable_audio_exits_2_naming_the_file(self, tiny_workspace, tmp_path, capsys):
         # vad and featurize share one policy: an unreadable WAV stops the stage
         root, cfg_path, _ = tiny_workspace

@@ -9,6 +9,7 @@ from accent_forge.corpus import (
     parse_manifest,
     remap_segments,
     split_dataset,
+    vowel_rows,
     write_alignment,
 )
 from accent_forge.errors import DataError
@@ -162,9 +163,9 @@ class TestParseAlignment:
         assert path.read_bytes() == blob
 
 
-def vowel_rows(f, segments, vowel, tau=float("-inf")):
-    """Rows of f that vowel's column of the vowel table keeps at tau."""
-    return f.values[extract_vowel_frames(f, segments)[:, VOWELS.index(vowel)] >= tau]
+def rows_of(f, segments, vowel, tau=float("-inf")):
+    """vowel_rows of f's rows and its vowel table under segments."""
+    return vowel_rows(f.values, extract_vowel_frames(f, segments), vowel, tau)
 
 
 class TestFilterByConfidence:
@@ -180,7 +181,7 @@ class TestFilterByConfidence:
         assert kept == segments and dropped == 0
         # centres at 12.5 + 10 i ms: [0, 1) s holds frames 0..98, [1, 2) s frames 99..198
         for v, n in (("aa", 99), ("iy", 100)):
-            rows = vowel_rows(f, segments, v)
+            rows = rows_of(f, segments, v)
             assert rows.shape[0] == n
             assert np.array_equal(rows, f.values[reference_vowel_mask(f, segments, v)])
 
@@ -193,21 +194,21 @@ class TestFilterByConfidence:
         ]
         kept, dropped = reference_filter_by_confidence(segments, -3.0)
         assert [s.phone for s in kept] == ["aa", "iy"] and dropped == 1
-        assert [vowel_rows(f, segments, v, -3.0).shape[0] for v in ("aa", "iy", "uw")] == [99, 100, 0]
+        assert [rows_of(f, segments, v, -3.0).shape[0] for v in ("aa", "iy", "uw")] == [99, 100, 0]
 
     def test_unscored_dropped_at_finite_threshold(self):
         f = feature_matrix(300)
         segments = [AlignmentSegment(0, 1, "aa")]
         kept, dropped = reference_filter_by_confidence(segments, -10.0)
         assert kept == [] and dropped == 1
-        assert vowel_rows(f, segments, "aa", -10.0).shape[0] == 0
+        assert rows_of(f, segments, "aa", -10.0).shape[0] == 0
 
     def test_all_below(self):
         f = feature_matrix(300)
         segments = [AlignmentSegment(0, 1, "aa", -9.0)]
         kept, dropped = reference_filter_by_confidence(segments, 0.0)
         assert kept == [] and dropped == 1
-        assert vowel_rows(f, segments, "aa", 0.0).shape[0] == 0
+        assert rows_of(f, segments, "aa", 0.0).shape[0] == 0
 
 
 def feature_matrix(n_frames=40, dims=2, start_ms=12.5, hop_ms=10.0):
@@ -223,20 +224,20 @@ class TestExtractVowelFrames:
         segments = [AlignmentSegment(0.1125, 0.2075, "aa")]
         table = extract_vowel_frames(f, segments)
         assert table.shape == (40, len(VOWELS))
-        assert np.array_equal(vowel_rows(f, segments, "aa"), f.values[10:20])
+        assert np.array_equal(rows_of(f, segments, "aa"), f.values[10:20])
         column = table[:, VOWELS.index("aa")]
         assert np.all(column[10:20] == float("-inf")) and np.isnan(np.delete(column, range(10, 20))).all()
 
     def test_no_segments(self):
         f = feature_matrix()
-        assert vowel_rows(f, [AlignmentSegment(0, 1, "iy")], "aa").shape[0] == 0
+        assert rows_of(f, [AlignmentSegment(0, 1, "iy")], "aa").shape[0] == 0
         assert np.isnan(extract_vowel_frames(f, [])).all()
 
     def test_center_at_end_excluded(self):
         f = feature_matrix()
         # center of frame 5 is exactly 62.5 ms; a segment ending there excludes it
         segments = [AlignmentSegment(0.0325, 0.0625, "aa")]
-        assert np.array_equal(vowel_rows(f, segments, "aa"), f.values[2:5])
+        assert np.array_equal(rows_of(f, segments, "aa"), f.values[2:5])
 
     def test_randomized_matches_interval_oracle(self):
         rng = np.random.default_rng(20)
@@ -247,7 +248,7 @@ class TestExtractVowelFrames:
             end = start + float(rng.uniform(0.01, 0.3))
             segs = [AlignmentSegment(start, end, "aa"), AlignmentSegment(0.05, 0.1, "iy")]
             oracle = [i for i, c in enumerate(centers) if start <= c < end]
-            assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[oracle])
+            assert np.array_equal(rows_of(f, segs, "aa"), f.values[oracle])
 
     def test_unknown_vowel_rejected(self):
         # a phone outside the inventory labels no column
@@ -272,8 +273,8 @@ class TestExtractVowelFrames:
         f = feature_matrix()
         # frames 5..14 in aa, 10..19 in iy: frames 10..14 are in both columns
         segs = [AlignmentSegment(0.0575, 0.1575, "aa"), AlignmentSegment(0.1075, 0.2075, "iy")]
-        assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[5:15])
-        assert np.array_equal(vowel_rows(f, segs, "iy"), f.values[10:20])
+        assert np.array_equal(rows_of(f, segs, "aa"), f.values[5:15])
+        assert np.array_equal(rows_of(f, segs, "iy"), f.values[10:20])
 
     def test_overlapping_segments_of_one_vowel_keep_the_best_confidence(self):
         f = feature_matrix()
@@ -281,16 +282,16 @@ class TestExtractVowelFrames:
         segs = [AlignmentSegment(0.0575, 0.1575, "aa", -5.0), AlignmentSegment(0.1075, 0.2075, "aa", -1.0)]
         column = extract_vowel_frames(f, segs)[:, VOWELS.index("aa")]
         assert np.array_equal(column[5:20], [-5.0] * 5 + [-1.0] * 10)
-        assert np.array_equal(vowel_rows(f, segs, "aa", -3.0), f.values[10:20])
-        assert vowel_rows(f, segs, "aa", 0.0).shape[0] == 0
-        assert np.array_equal(vowel_rows(f, segs, "aa", -5.0), f.values[5:20])
+        assert np.array_equal(rows_of(f, segs, "aa", -3.0), f.values[10:20])
+        assert rows_of(f, segs, "aa", 0.0).shape[0] == 0
+        assert np.array_equal(rows_of(f, segs, "aa", -5.0), f.values[5:20])
 
     def test_unscored_segment_is_kept_only_at_minus_inf(self):
         f = feature_matrix()
         segs = [AlignmentSegment(0.0575, 0.1575, "aa")]
-        assert np.array_equal(vowel_rows(f, segs, "aa"), f.values[5:15])
+        assert np.array_equal(rows_of(f, segs, "aa"), f.values[5:15])
         for tau in (-1e300, -3.0, 0.0):
-            assert vowel_rows(f, segs, "aa", tau).shape[0] == 0
+            assert rows_of(f, segs, "aa", tau).shape[0] == 0
 
     @pytest.mark.parametrize("start_ms, hop_ms", [(12.5, 10.0), (805.0, -10.0), (400.0, 0.0)])
     def test_randomized_table_matches_per_vowel_reference(self, start_ms, hop_ms):
@@ -308,7 +309,7 @@ class TestExtractVowelFrames:
             table = extract_vowel_frames(f, segs)
             for tau in (float("-inf"), -4.0, -2.5, -1.0, 0.0):
                 for v in VOWELS:
-                    rows = f.values[table[:, VOWELS.index(v)] >= tau]
+                    rows = vowel_rows(f.values, table, v, tau)
                     assert np.array_equal(rows, reference_vowel_rows(f, segs, v, tau)), (v, tau)
 
 

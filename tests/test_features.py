@@ -11,13 +11,11 @@ from accent_forge.features import (
     FeatureMatrix,
     PlpConfig,
     append_deltas,
-    apply_mvn,
     bark_filterbank,
     context_expand,
     equal_loudness,
     hz_to_bark,
     mvn,
-    mvn_stats,
     plp_static,
     read_feature_archive,
     write_feature_archive,
@@ -242,14 +240,6 @@ class TestMvn:
     def test_single_frame(self):
         out = mvn(FeatureMatrix(np.array([[3.0, -1.0]]))).values
         assert np.all(out == 0.0)
-
-    def test_global_stats(self):
-        rng = np.random.default_rng(12)
-        mats = [FeatureMatrix(rng.standard_normal((20, 3))) for _ in range(4)]
-        mean, std = mvn_stats(mats)
-        stacked = np.vstack([m.values for m in mats])
-        normalized = apply_mvn(stacked, mean, std)
-        assert np.max(np.abs(normalized.mean(axis=0))) < 1e-10
 
 
 class TestContextExpand:

@@ -3,6 +3,7 @@ that names it, never a stray ValueError or UnicodeDecodeError."""
 
 import hashlib
 import io
+import re
 import tempfile
 import warnings
 import wave
@@ -54,6 +55,21 @@ READERS = {
     "eval_report": (read_eval_report, "eval.json"),
     "audio": (load_audio, "a.wav"),
 }
+
+# values wrong for any audio, refused as the config loads, before vad runs
+ONE_BAD_CONFIG_VALUE = {
+    "config-zero_delta_window": b"[plp]\ndelta_window = 0\n",
+    "config-zero_plp_hop": b"[plp]\nhop_ms = 0\n",
+    "config-negative_plp_hop": b"[plp]\nhop_ms = -10\n",
+    "config-zero_plp_frame_len": b"[plp]\nframe_len_ms = 0\n",
+    "config-zero_cepstra": b"[plp]\nnum_cepstra = 0\n",
+    "config-fewer_bark_bands_than_lp_order_plus_1": b"[plp]\nnum_bark_bands = 12\n",
+    "config-negative_variance_floor": b"[em]\nvariance_floor_factor = -1\n",
+    "config-global_mvn_scope": b"[model]\nmvn_scope = global\n",
+    "config-raw_vowel_scores": b"[model]\nframe_normalized_vowel_scores = false\n",
+}
+
+VOWEL_SET_HEAD = b"ACMSET1 vowel\nfingerprint -\n"
 
 DAMAGED = {
     "transform-not_utf8": NOT_UTF8,
@@ -112,6 +128,7 @@ DAMAGED = {
     "config-inf_duration": b"[synth]\nduration_s = inf\n",
     "config-transform_none": b"[model]\ntransform = none\n",
     "config-hlda_keeping_every_dim": b"[model]\ntransform = hlda\ncontext_size = 0\nreduced_dim = 39\n",
+    **ONE_BAD_CONFIG_VALUE,
     "model_set-not_utf8": NOT_UTF8,
     "eval_report-not_utf8": NOT_UTF8,
     "eval_report-a_list": b"[1, 2]\n",
@@ -125,6 +142,12 @@ DAMAGED = {
     "model_set-weight_in_baseline": b"ACMSET1 baseline\nfingerprint -\nweight aa 1.0\n",
     "model_set-nan_weight": b"ACMSET1 vowel\nfingerprint -\ntau -inf\nsubset aa\nweight aa nan\n",
     "model_set-nan_tau": b"ACMSET1 vowel\nfingerprint -\ntau nan\nsubset aa\nweight aa 1.0\n",
+    # lines save_model_set writes once; each would load with the last one winning
+    "model_set-vowel_twice_in_subset": VOWEL_SET_HEAD + b"tau -inf\nsubset aa aa\nweight aa 0.5\n",
+    "model_set-second_tau": VOWEL_SET_HEAD + b"tau -inf\ntau 0.5\nsubset aa\nweight aa 1.0\n",
+    "model_set-second_subset": VOWEL_SET_HEAD + b"tau -inf\nsubset aa\nsubset aa\nweight aa 1.0\n",
+    "model_set-second_fingerprint": VOWEL_SET_HEAD + b"fingerprint -\ntau -inf\nsubset aa\nweight aa 1.0\n",
+    "model_set-second_weight": VOWEL_SET_HEAD + b"tau -inf\nsubset aa\nweight aa 0.5\nweight aa 1.0\n",
     # a 16-bit stereo sample frame is 4 bytes; these end inside the last one
     "audio-last_3_bytes_cut": stereo_wav()[:-3],
     "audio-last_2_bytes_cut": stereo_wav()[:-2],
@@ -157,6 +180,16 @@ def test_non_finite_config_float_names_section_and_key(tmp_path, section, key):
     path = tmp_path / "c.ini"
     path.write_text(f"[{section}]\n{key} = nan\n")
     with pytest.raises(DataError, match=rf"c\.ini: bad value for \[{section}\] {key}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("case", ONE_BAD_CONFIG_VALUE)
+def test_refused_config_value_names_section_and_key(tmp_path, case):
+    path = tmp_path / "c.ini"
+    path.write_bytes(ONE_BAD_CONFIG_VALUE[case])
+    section, line = path.read_text().splitlines()
+    key = line.split()[0]
+    with pytest.raises(DataError, match=re.escape(f"c.ini: invalid configuration: {section} {key} must")):
         load_config(path)
 
 
