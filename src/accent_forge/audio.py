@@ -109,18 +109,21 @@ def save_audio(path, audio: AudioBuffer) -> None:
         wf.writeframes(quantized.tobytes())
 
 
-def frame_signal(audio: AudioBuffer, frame_len_ms: float, hop_ms: float) -> FrameSequence:
+def frame_signal(audio: AudioBuffer, frame_len_ms: float, hop_ms: float, key="frame_len_ms") -> FrameSequence:
     """Cut a waveform into fixed-length frames.
 
     For len >= frame_len the count is floor((len - frame_len)/hop) + 1 and
     every frame is fully inside the signal; shorter non-empty signals give
     one zero-padded frame; an empty signal gives no frames. The frames are
     read-only; a signal at least one frame long shares its memory with them.
+    A frame_len_ms that rounds to 0 samples raises ValueError naming key.
     """
     if frame_len_ms <= 0 or hop_ms <= 0:
         raise ValueError("frame_len_ms and hop_ms must be positive")
     sr = audio.sample_rate
     frame_len = int(round(frame_len_ms * sr / 1000.0))
+    if frame_len < 1:
+        raise ValueError(f"{key} = {frame_len_ms:g} is a frame of 0 samples at {sr} Hz")
     hop = max(1, int(round(hop_ms * sr / 1000.0)))
     x = audio.samples
     n = x.size

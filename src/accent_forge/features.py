@@ -179,7 +179,7 @@ def plp_static(audio: AudioBuffer, cfg: PlpConfig | None = None, utterance_id: s
     if audio.sample_rate < 8000:
         raise ValueError("sample rate must be at least 8000 Hz")
     emphasized = AudioBuffer(preemphasize(audio.samples, cfg.preemphasis), audio.sample_rate)
-    fs = frame_signal(emphasized, cfg.frame_len_ms, cfg.hop_ms)
+    fs = frame_signal(emphasized, cfg.frame_len_ms, cfg.hop_ms, "[plp] frame_len_ms")
     if fs.n_frames == 0:
         return FeatureMatrix(
             np.zeros((0, cfg.num_cepstra)), utterance_id, cfg.frame_len_ms / 2.0, cfg.hop_ms

@@ -1,26 +1,27 @@
 """Diagonal-covariance Gaussian mixture models trained by expectation-maximization.
 
-Scoring runs in the log domain throughout. The per-frame mixture term sums
-exponentials in ascending order after a max shift, which keeps results
-independent of component ordering bit for bit.
-
 Each model derives its scoring terms once, when built: (prec/2)^T, (mu*prec)^T,
 sum(mu^2*prec)/2, log_norm and log w. Scoring is two GEMMs and four passes:
 X^2 @ (prec/2)^T, minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all
 that, plus log w. This equals the textbook form, which halves at the end, bit for bit:
 scaling by a power of two commutes with every rounding, the GEMM's FMAs included,
-outside the subnormal range.
+outside the subnormal range. Each frame's exponentials are summed in ascending
+order after a max shift, so scores do not depend on the order of the components.
 
-np.exp is about 150x slower below about -707, so work that cannot change a bit
-is skipped. The log-sum-exp raises shifted arguments below EXP_CLAMP = -700 to
-it: a row's maximum adds exp(0) = 1, and an addend below e^-700 changes only
-tiny partial sums, which reach a total of at least 1 only through a chain of
-exact rounding ties. EM flushes responsibilities below exp(EXP_CLAMP) to +0.0;
-the M-step sums keep their bits by the same argument while each is at least
-EXACT_SUMS_ABOVE = 2^-900, and are redone from exact ones otherwise; an all-zero
-column of frames, whose sums are exactly 0 either way, is left out. This is a
-rounding argument, not a proof for every input; the tests fuzz it. k-means
-stops at an exact fixed point of its centers.
+np.exp is about 150x slower below about -707. The log-sum-exp raises shifted
+arguments below EXP_CLAMP = -700 to it: a row's maximum adds exp(0) = 1, and an
+addend below e^-700 reaches a total of at least 1 only through exact rounding ties.
+
+EM sums in its own order, to rounding of the scoring above, not bit for bit. It
+stacks its frames once as Y = [X^2, X]. An E-step takes the log-joint from one GEMM
+subtracted from one constant per component, and makes one clamped exp of it
+after the max shift. Its unsorted sums give the frame likelihoods. Subtracting
+exp(EXP_CLAMP) flushes the clamped entries to +0.0 and moves no other by more
+than that. One GEMM, resp @ Y, gives both M-step sums. While each sum is at
+least EXACT_SUMS_ABOVE = 2^-900, terms below e^-700 lie far below its last bit;
+otherwise the step is redone from exact responsibilities. An all-zero column of
+frames, whose sums are exactly 0 either way, is left out. k-means stops at an
+exact fixed point of its centers.
 """
 
 from __future__ import annotations
@@ -109,16 +110,22 @@ EXP_ZERO_BELOW = -746.0
 
 # np.exp leaves its fast path near -707; see the module docstring
 EXP_CLAMP = -700.0
+EXP_CLAMPED = float(np.exp(np.array([EXP_CLAMP]))[0])  # as np.exp gives it inside an array
 EXACT_SUMS_ABOVE = 2.0 ** -900
 
 
 class PreparedFrames:
-    """Frames scored against several models: X, X * X and the two (N, K)
-    work buffers, made once and shared by every model with K components."""
+    """Frames scored against several models: Y = [X * X, X], stacked once,
+    whose right half is X, and the two (N, K) work buffers, made once and
+    shared by every model with K components."""
 
     def __init__(self, X):
-        self.values = _as_matrix(X)
-        self.squares = self.values * self.values
+        X = _as_matrix(X)
+        d = X.shape[1]
+        self.stacked = np.empty((X.shape[0], 2 * d))
+        np.multiply(X, X, out=self.stacked[:, :d])
+        self.stacked[:, d:] = X
+        self.values = self.stacked[:, d:]
         self._buffers = {}
 
     def __array__(self, dtype=None, copy=None):
@@ -131,17 +138,17 @@ class PreparedFrames:
         return self._buffers[k]
 
 
-def _log_joint(model: GmmModel, X: np.ndarray, x_sq: np.ndarray, out: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-    """log w_k + log N(x_n; mu_k, var_k) into out, shape (N, K); x_sq is X * X.
+def _log_joint(model: GmmModel, frames: PreparedFrames, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log w_k + log N(x_n; mu_k, var_k) into out, shape (N, K).
 
     Evaluated in place from the model's terms, one pass at a time in the order
     the module docstring gives; work is an (N, K) scratch buffer.
     """
+    X = frames.values
     if X.shape[1] != model.dims:
         raise ValueError(f"feature dims {X.shape[1]} do not match model dims {model.dims}")
     half_prec_t, mu_prec_t, half_sq_sum, log_norm, log_weights = model._terms
-    np.matmul(x_sq, half_prec_t, out=out)
+    np.matmul(frames.stacked[:, :model.dims], half_prec_t, out=out)
     out -= np.matmul(X, mu_prec_t, out=work)
     out += half_sq_sum
     np.subtract(log_norm, out, out=out)
@@ -149,18 +156,11 @@ def _log_joint(model: GmmModel, X: np.ndarray, x_sq: np.ndarray, out: np.ndarray
     return out
 
 
-def _exp_in_place(a: np.ndarray, below: np.ndarray, threshold: float = EXP_ZERO_BELOW) -> np.ndarray:
-    """np.exp(a) into a, except that arguments below threshold give +0.0
-    without reaching np.exp; below is a bool scratch array of a's shape. At
-    the default threshold np.exp gives +0.0 there itself, so this is np.exp
-    bit for bit, off numpy's slow underflow path. The masking passes run
-    only when some argument is below threshold."""
-    if not np.less(a, threshold, out=below).any():
-        return np.exp(a, out=a)
-    np.putmask(a, below, 0.0)
-    np.exp(a, out=a)
-    np.putmask(a, below, 0.0)
-    return a
+def _exp_in_place(a: np.ndarray) -> np.ndarray:
+    """np.exp(a) into a, bit for bit: arguments below EXP_ZERO_BELOW, where
+    np.exp gives +0.0, are raised to it, off np.exp's slow underflow path."""
+    np.maximum(a, EXP_ZERO_BELOW, out=a)
+    return np.exp(a, out=a)
 
 
 def _logsumexp_rows(z: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -185,7 +185,7 @@ def frame_log_likelihoods(model: GmmModel, X) -> np.ndarray:
     """Per-frame log mixture densities, shape (N,); X may be PreparedFrames."""
     frames = X if isinstance(X, PreparedFrames) else PreparedFrames(X)
     log_joint, work = frames.buffers(model.n_components)
-    _log_joint(model, frames.values, frames.squares, log_joint, work)
+    _log_joint(model, frames, log_joint, work)
     return _logsumexp_rows(log_joint, work)
 
 
@@ -220,62 +220,30 @@ def _draw_index(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (m, n) array, adding in the order numpy's pairwise
-    sum adds m contiguous values: below 8 one by one, up to 128 in eight
-    interleaved partial sums combined as a tree plus the tail, and above 128
-    as two halves whose split is a multiple of 8."""
-    m = rows.shape[0]
-    if m < 8:
-        total = np.zeros(rows.shape[1])
-        for row in rows:
-            total += row
-        return total
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
-    tail = m - m % 8
-    acc = rows[:8].copy()
-    for i in range(8, tail, 8):
-        acc += rows[i: i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = pairs[0] + pairs[1]
-    total += pairs[2] + pairs[3]
-    for row in rows[tail:]:
-        total += row
-    return total
-
-
-def _sq_distances(XT: np.ndarray, center: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """np.sum((X - center) ** 2, axis=1), bit for bit, from XT = X.T in C order.
-
-    numpy sums each short row of X as a pairwise sum from +0.0, one call per
-    row; here each step is one operation over all frames. work is XT's shape.
-    """
-    np.subtract(XT, center[:, None], out=work)
-    np.square(work, out=work)
-    total = _pairwise_sum(work)
-    total += 0.0
-    return total
-
-
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
     """Seeded k-means++ with up to iters Lloyd iterations (at least one),
     stopping early at an exact fixed point, which the rest would repeat.
 
     Each seeding step draws its point as rng.choice(n, p=d2 / d2.sum())
-    would, consuming the generator exactly as that call does. Every
-    non-empty cluster's returned center is the mean of its members under the
-    returned labels, bit for bit as X[labels == i].mean(axis=0) computes it.
+    would, consuming the generator exactly as that call does. A squared
+    distance is |x|^2 - 2 x.c + |c|^2, from one matrix-vector product, and 0
+    within that form's rounding bound of 0, so a frame equal to a chosen
+    center is never drawn. Every non-empty cluster's returned center is the
+    mean of its members under the returned labels, bit for bit as
+    X[labels == i].mean(axis=0) computes it.
     """
-    n = X.shape[0]
-    XT = np.ascontiguousarray(X.T)
-    work = np.empty_like(XT)
-    centers = np.empty((k, X.shape[1]))
+    n, d = X.shape
+    x_sq = np.sum(X * X, axis=1)
+    if not np.all(np.isfinite(x_sq)):
+        raise ValueError("squared distances between frames are not finite")
+    centers = np.empty((k, d))
     centers[0] = X[int(rng.integers(n))]
     d2 = np.full(n, np.inf)  # each frame's squared distance to its nearest center so far
     for i in range(1, k):
-        np.minimum(d2, _sq_distances(XT, centers[i - 1], work), out=d2)
+        c_sq = float(np.sum(centers[i - 1] * centers[i - 1]))
+        dist = x_sq - 2.0 * (X @ centers[i - 1]) + c_sq
+        np.putmask(dist, dist <= (3 * d + 4) * 2.0 ** -53 * (x_sq + c_sq), 0.0)
+        np.minimum(d2, dist, out=d2)
         total = float(d2.sum())
         if not math.isfinite(total):
             raise ValueError("squared distances between frames are not finite")
@@ -284,14 +252,13 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
         else:
             centers[i] = X[_draw_index(rng, d2 / total)]
 
-    x_sq = np.sum(X * X, axis=1)[:, None]
     labels = np.zeros(n, dtype=np.intp)
     dists = np.empty((n, k))
     for _ in range(iters):
         previous = centers.copy()
         # x_sq - 2.0 * (X @ centers.T) + |centers|^2, in that order, built in place
         np.matmul(X, 2.0 * centers.T, out=dists)
-        np.subtract(x_sq, dists, out=dists)
+        np.subtract(x_sq[:, None], dists, out=dists)
         dists += np.sum(centers * centers, axis=1)[None, :]
         labels = np.argmin(dists, axis=1)
         counts = np.bincount(labels, minlength=k)
@@ -309,6 +276,28 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10):
         if centers.tobytes() == previous.tobytes():
             break  # a fixed point: every further iteration would repeat this one
     return centers, labels
+
+
+def _e_step(model: GmmModel, Y: np.ndarray, log_joint: np.ndarray,
+            resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame log-likelihoods of the frames stacked as Y = [X * X, X], and the
+    reciprocals of their totals. Into the (K, N) buffers go each frame's
+    log-joint minus its maximum and the responsibilities: the clamped exp of
+    that, flushed to +0.0 below EXP_CLAMP, times 1 / the frame's total."""
+    half_prec_t, mu_prec_t, half_sq_sum, log_norm, log_weights = model._terms
+    np.matmul(np.hstack([half_prec_t.T, -mu_prec_t.T]), Y.T, out=log_joint)
+    np.subtract((log_norm - half_sq_sum + log_weights)[:, None], log_joint, out=log_joint)
+    shift = log_joint.max(axis=0)
+    log_joint -= shift
+    np.maximum(log_joint, EXP_CLAMP, out=resp)
+    np.exp(resp, out=resp)
+    resp -= EXP_CLAMPED  # +0.0 where clamped; see the module docstring
+    total = resp.sum(axis=0)
+    inv_total = 1.0 / total
+    resp *= inv_total
+    np.log(total, out=total)
+    total += shift
+    return total, inv_total
 
 
 def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmModel, list[float]]:
@@ -349,37 +338,32 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     weights /= weights.sum()
     model = GmmModel(weights, means, variances)
 
-    # the E-step and the final score run in these buffers
     trace: list[float] = []
-    frames = PreparedFrames(X)
-    log_joint, resp = frames.buffers(n_components)
-    below = np.empty(resp.shape, dtype=bool)
-    sums = np.empty((n_components, dims))
-    sq_sums = np.empty_like(sums)
-    live = X.any(axis=0)  # an all-zero column's sums are exactly 0 on both paths
-    for _ in range(opts.max_iters):
-        _log_joint(model, X, frames.squares, log_joint, resp)
-        frame_ll = _logsumexp_rows(log_joint, resp)
-        ll = float(frame_ll.sum())
-        trace.append(ll)
-        if len(trace) >= 2 and ll - trace[-2] < opts.rel_tol * abs(trace[-2]):
+    Y = PreparedFrames(X).stacked
+    log_joint, resp = np.empty((n_components, n_frames)), np.empty((n_components, n_frames))
+    stats = np.empty((n_components, 2 * dims))  # per component: sum r * x^2, then sum r * x
+    live = np.tile(X.any(axis=0), 2)  # an all-zero column's sums are exactly 0 on both paths
+    for iteration in range(opts.max_iters + 1):
+        frame_ll, inv_total = _e_step(model, Y, log_joint, resp)
+        trace.append(float(frame_ll.sum()))
+        if iteration == opts.max_iters or (
+                iteration and trace[-1] - trace[-2] < opts.rel_tol * abs(trace[-2])):
             return model, trace
 
-        # flushed responsibilities, or exact ones if a sum is too small
-        for threshold in (EXP_CLAMP, EXP_ZERO_BELOW):
-            np.subtract(log_joint, frame_ll[:, None], out=resp)
-            _exp_in_place(resp, below, threshold)
-            nk = resp.sum(axis=0)
-            np.matmul(resp.T, X, out=sums)
-            np.matmul(resp.T, frames.squares, out=sq_sums)
-            smallest = min(np.abs(sums[:, live]).min(initial=np.inf), sq_sums[:, live].min(initial=np.inf))
-            if min(np.abs(nk).min(), smallest) >= EXACT_SUMS_ABOVE:
+        # the flushed responsibilities' sums, or the exact ones' if one is too small
+        for exact in (False, True):
+            if exact:
+                np.copyto(resp, log_joint)
+                _exp_in_place(resp)
+                resp *= inv_total
+            nk = resp.sum(axis=1)
+            np.matmul(resp, Y, out=stats)
+            if min(nk.min(), np.abs(stats[:, live]).min(initial=np.inf)) >= EXACT_SUMS_ABOVE:
                 break
         empty = nk <= 0.0
-        nk_safe = np.where(empty, 1.0, nk)
-        new_means = sums / nk_safe[:, None]
-        new_sq = sq_sums / nk_safe[:, None]
-        new_vars = np.maximum(new_sq - new_means * new_means, floor)
+        moments = stats / np.where(empty, 1.0, nk)[:, None]
+        new_means = moments[:, dims:]
+        new_vars = np.maximum(moments[:, :dims] - new_means * new_means, floor)
         new_weights = nk / n_frames
         if np.any(empty):
             worst = int(np.argmin(frame_ll))
@@ -388,9 +372,6 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
             new_weights[empty] = 1.0 / n_frames
         new_weights /= new_weights.sum()
         model = GmmModel(new_weights, new_means, new_vars)
-
-    trace.append(mixture_log_likelihood(model, frames))
-    return model, trace
 
 
 GMM_MAGIC = "ACGMM1"

@@ -140,8 +140,12 @@ def cmd_vad(manifest_path, cfg: PipelineConfig, out_dir) -> VadReport:
     report_dir.mkdir(parents=True, exist_ok=True)
 
     def process(entry: ManifestEntry) -> tuple[float, float, float]:
-        audio = load_audio(_resolve(manifest_path.parent, entry.audio_path))
-        speech, mask, rate = remove_silence(audio, cfg.vad)
+        wav = _resolve(manifest_path.parent, entry.audio_path)
+        audio = load_audio(wav)
+        try:  # a [vad] frame_len_ms of 0 samples at this WAV's sample rate
+            speech, mask, rate = remove_silence(audio, cfg.vad)
+        except ValueError as exc:
+            raise DataError(f"{wav}: {exc}") from None
         save_mask(mask_dir / f"{entry.utterance_id}.mask", entry.utterance_id, mask)
         return rate, audio.duration_s, speech.duration_s
 
@@ -190,7 +194,7 @@ def cmd_featurize(manifest_path, cfg: PipelineConfig, out_dir) -> int:
             raise ConsistencyError(
                 f"{mask_path} does not frame {wav} as the [vad] configuration does; run vad again"
             )
-        try:  # a sample rate the front end cannot analyze, or one with too few critical bands for lp_order
+        try:  # a sample rate the front end cannot analyze, or lp_order or [plp] frame_len_ms at it
             static = plp_static(masked_speech(audio, mask), cfg.plp, entry.utterance_id)
             if static.n_frames == 0:
                 return static.with_values(np.zeros((0, 3 * cfg.plp.num_cepstra)))

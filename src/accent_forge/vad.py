@@ -30,8 +30,9 @@ class VadConfig:
     def __post_init__(self):
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd and >= 1")
-        if min(self.frame_len_ms, self.hop_ms, self.min_segment_ms) <= 0:
-            raise ValueError("durations must be positive")
+        for key in ("frame_len_ms", "hop_ms", "min_segment_ms"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
         if self.threshold_weight < 0:
             raise ValueError("threshold_weight must be >= 0")
 
@@ -162,7 +163,7 @@ def remove_silence(
     if audio.samples.size == 0:
         raise DataError("cannot remove silence from empty audio")
 
-    fs = frame_signal(audio, cfg.frame_len_ms, cfg.hop_ms)
+    fs = frame_signal(audio, cfg.frame_len_ms, cfg.hop_ms, "[vad] frame_len_ms")
     energy = np.mean(fs.frames * fs.frames, axis=1)
     # audio shorter than two frames is kept whole; all-zero audio keeps nothing
     keep = np.full(fs.n_frames, fs.n_frames < 2)

@@ -113,6 +113,16 @@ def test_frame_counts():
     assert frame_signal(AudioBuffer(np.zeros(0), 8000), 50, 25).n_frames == 0
 
 
+def test_frame_of_zero_samples_rejected():
+    # 0.01 ms rounds to 0 samples at 8 kHz; 0.07 ms rounds to 1
+    audio = AudioBuffer(np.zeros(8000), 8000)
+    with pytest.raises(ValueError, match=r"^\[vad\] frame_len_ms = 0.01 is a frame of 0 samples at 8000 Hz$"):
+        frame_signal(audio, 0.01, 25, "[vad] frame_len_ms")
+    with pytest.raises(ValueError, match=r"^frame_len_ms = 0.05 is"):
+        frame_signal(audio, 0.05, 25)
+    assert frame_signal(audio, 0.07, 25).frame_len == 1
+
+
 def test_frame_offsets_reconstruct_signal():
     # frame i must start exactly at i*hop for many signal lengths
     for n in (50, 73, 100, 257, 1000):

@@ -1041,6 +1041,28 @@ def test_featurize_setting_the_front_end_rejects_exits_2(tmp_path, capsys, case,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, command", [("vad", "vad"), ("plp", "featurize")])
+def test_frame_of_zero_samples_exits_2_naming_the_wav_and_key(tmp_path, capsys, section, command):
+    # a frame_len_ms that rounds to 0 samples at the WAV's 8 kHz; [plp] is
+    # only reached once vad has passed
+    audio, _ = synthesize_utterance(SynthSpec(accents=["A"], duration_s=1.0), 0, 0, 1)
+    wav = tmp_path / "u.wav"
+    save_audio(wav, audio)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"u\t{wav}\tA\n")
+    config = tmp_path / "c.ini"
+    config.write_text(f"[{section}]\nframe_len_ms = 0.01\n")
+    args = ["--manifest", str(manifest), "--config", str(config), "--out", str(tmp_path / "w")]
+    if command == "featurize":
+        assert main(["vad", *args]) == 0
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    rate = audio.sample_rate
+    assert f"accent-forge: data error: {wav}: [{section}] frame_len_ms = 0.01 is a frame of 0 samples at {rate} Hz" in err
+    assert "Traceback" not in err
+
+
 def test_hlda_failure_exits_2_without_traceback(shared_ws, tmp_path, monkeypatch, capsys):
     manifest, _, prepared = shared_ws
     ws = fresh_workspace(prepared, tmp_path)

@@ -65,6 +65,9 @@ ONE_BAD_CONFIG_VALUE = {
     "config-zero_cepstra": b"[plp]\nnum_cepstra = 0\n",
     "config-fewer_bark_bands_than_lp_order_plus_1": b"[plp]\nnum_bark_bands = 12\n",
     "config-negative_variance_floor": b"[em]\nvariance_floor_factor = -1\n",
+    "config-zero_vad_frame_len": b"[vad]\nframe_len_ms = 0\n",
+    "config-negative_vad_hop": b"[vad]\nhop_ms = -25\n",
+    "config-zero_vad_min_segment": b"[vad]\nmin_segment_ms = 0\n",
     "config-global_mvn_scope": b"[model]\nmvn_scope = global\n",
     "config-raw_vowel_scores": b"[model]\nframe_normalized_vowel_scores = false\n",
 }
