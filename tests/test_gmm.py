@@ -269,6 +269,23 @@ def start_case(case, rng):
 ROW_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 20, 39, 64, 117, 127, 128, 129, 136, 255, 300]
 
 
+@pytest.mark.parametrize("d", ROW_LENGTHS)
+def test_pairwise_sum_matches_numpy_row_sums(d):
+    # a single column's cluster sums are numpy's pairwise sums of each
+    # cluster's members in frame order: lay each row of A out as one cluster,
+    # its members interleaved with the other rows'; signed zeros,
+    # cancellation and wide magnitudes make every other order differ
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((400, d)) * np.exp(rng.uniform(-20.0, 20.0, (400, d)))
+    A[rng.uniform(size=A.shape) < 0.1] = -0.0
+    A[5] = -0.0
+    A[6] = 0.0
+    labels = np.tile(np.arange(400), d)
+    counts = np.full(400, d)
+    total = gmm._cluster_sums(A.T.reshape(-1, 1), labels, counts)[:, 0]
+    assert total.tobytes() == np.sum(A, axis=1).tobytes()
+
+
 def spy_on_seeding_draws(monkeypatch):
     """Record the probabilities of every k-means++ seeding draw."""
     seen = []
