@@ -1,12 +1,12 @@
 """Accent classifiers: whole-utterance scoring and the vowel-combined variant.
 
-The baseline scores an utterance against one mixture model per accent and
-takes the best total log likelihood. The vowel-combined classifier scores
-each vowel's frames against per-accent, per-vowel models, divides each
-total by the vowel's frame count, and fuses the vowel scores with
-vowel-proportion weights;
-train_vowel_set fits those models and picks their vowel subset and
-confidence threshold on dev.
+Both score a ModelSet, whose mixture models are keyed (accent,) in a baseline
+set and (accent, vowel) in a vowel set. The baseline scores an utterance
+against each accent's model and takes the best total log likelihood. The
+vowel-combined classifier scores each vowel's frames against each accent's
+model of that vowel, divides each total by the vowel's frame count, and
+fuses the vowel scores with vowel-proportion weights; train_vowel_set fits
+those models and picks their vowel subset and confidence threshold on dev.
 """
 
 from __future__ import annotations
@@ -34,52 +34,44 @@ def derive_seed(base: int, *parts: int) -> int:
 
 
 @dataclass
-class AccentModelSet:
-    """One mixture model per accent plus the front-end provenance."""
+class ModelSet:
+    """Mixture models keyed (accent,) in a baseline set, or (accent, vowel) in a
+    vowel set, which adds its vowel subset, fusion weights and confidence
+    threshold; plus the front-end provenance."""
 
     labels: list[str]
-    models: dict[str, GmmModel]
+    models: dict[tuple[str, ...], GmmModel]
     fingerprint: str = ""
     transform_ref: str | None = None
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("accent labels must be unique")
-        missing = [lab for lab in self.labels if lab not in self.models]
-        if missing:
-            raise ValueError(f"missing models for accents: {missing}")
-        dims = {self.models[lab].dims for lab in self.labels}
-        if len(dims) > 1:
-            raise ValueError("all accent models must share dimensions")
-
-
-@dataclass
-class VowelModelSet:
-    """Per (accent, vowel) mixture models with fusion weights over a vowel subset."""
-
-    labels: list[str]
-    subset: list[str]
-    weights: dict[str, float]
-    models: dict[tuple[str, str], GmmModel]
-    fingerprint: str = ""
-    transform_ref: str | None = None
+    subset: list[str] | None = None  # None in a baseline set
+    weights: dict[str, float] | None = None
     confidence_tau: float = float("-inf")
 
+    @property
+    def keys(self) -> list[tuple[str, ...]]:
+        """The keys of the set's models in file order: by accent, then by subset vowel."""
+        if self.subset is None:
+            return [(lab,) for lab in self.labels]
+        return [(lab, v) for lab in self.labels for v in self.subset]
+
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("accent labels must be unique")
-        for v in self.subset:
-            if v not in VOWELS:
-                raise ValueError(f"subset vowel {v!r} not in the vowel inventory")
-        if math.isnan(self.confidence_tau):
-            raise ValueError("the confidence threshold tau is NaN")
-        weights = [self.weights.get(v, math.nan) for v in self.subset]  # a missing weight fails too
-        if not all(0.0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > 1e-10:
-            raise ValueError("subset weights must form a probability simplex")
-        for lab in self.labels:
+        if self.subset is not None:
             for v in self.subset:
-                if (lab, v) not in self.models:
-                    raise ValueError(f"missing model for accent {lab!r}, vowel {v!r}")
+                if v not in VOWELS:
+                    raise ValueError(f"subset vowel {v!r} not in the vowel inventory")
+            if math.isnan(self.confidence_tau):
+                raise ValueError("the confidence threshold tau is NaN")
+            # a missing weight, or a vowel set without weights, fails too
+            weights = [(self.weights or {}).get(v, math.nan) for v in self.subset]
+            if not all(0.0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > 1e-10:
+                raise ValueError("subset weights must form a probability simplex")
+        missing = [" ".join(key) for key in self.keys if key not in self.models]
+        if missing:
+            raise ValueError(f"missing models for: {', '.join(missing)}")
+        if len({m.dims for m in self.models.values()}) > 1:
+            raise ValueError("all models must share dimensions")
 
 
 @dataclass
@@ -113,12 +105,17 @@ def train_pools(
     return models
 
 
-def classify_baseline(models: AccentModelSet, X: np.ndarray) -> ClassificationResult:
+def _accent_totals(models: ModelSet, suffix: tuple[str, ...], X: np.ndarray) -> dict[str, float]:
+    """Total log likelihood of X under each accent's model, keyed (accent, *suffix)."""
+    frames = PreparedFrames(X)
+    return {lab: mixture_log_likelihood(models.models[(lab, *suffix)], frames) for lab in models.labels}
+
+
+def classify_baseline(models: ModelSet, X: np.ndarray) -> ClassificationResult:
     """Best accent under total log likelihood; ties go to the lowest accent index."""
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("cannot classify an empty feature matrix")
-    frames = PreparedFrames(X)
-    scores = {lab: mixture_log_likelihood(models.models[lab], frames) for lab in models.labels}
+    scores = _accent_totals(models, (), X)
     return ClassificationResult(_best_label(models.labels, scores), scores)
 
 
@@ -139,16 +136,14 @@ def vowel_weights(frame_counts: dict[str, float], subset) -> dict[str, float]:
     return {v: float(c / total) for v, c in zip(subset, counts)}
 
 
-def _score_vowel(models: VowelModelSet, v: str, X: np.ndarray) -> tuple[int, dict[str, float]] | None:
+def _score_vowel(models: ModelSet, v: str, X: np.ndarray) -> tuple[int, dict[str, float]] | None:
     """Frame count and per-accent total log likelihood of one vowel's rows.
 
     None when the vowel has no frames, so it drops out of the fusion.
     """
     if X.ndim != 2 or X.shape[0] == 0:
         return None
-    frames = PreparedFrames(X)
-    totals = {lab: mixture_log_likelihood(models.models[(lab, v)], frames) for lab in models.labels}
-    return X.shape[0], totals
+    return X.shape[0], _accent_totals(models, (v,), X)
 
 
 def _fuse_vowel_scores(
@@ -172,7 +167,7 @@ def _fuse_vowel_scores(
     return _best_label(labels, scores), scores
 
 
-def classify_vowel(models: VowelModelSet, per_vowel_X: dict[str, np.ndarray]) -> ClassificationResult:
+def classify_vowel(models: ModelSet, per_vowel_X: dict[str, np.ndarray]) -> ClassificationResult:
     """Fuse per-vowel mixture scores with vowel-proportion weights.
 
     Vowels absent from the utterance contribute nothing and their weight is
@@ -212,7 +207,7 @@ def _dev_accuracy(dev_scores, labels, weights, subset) -> int:
 
 def select_vowel_subset(
     dev_scores: list[tuple[str, dict[str, tuple[int, dict[str, float]]]]],
-    models: VowelModelSet,
+    models: ModelSet,
     subset_size: int,
 ) -> list[str]:
     """Greedy forward selection of the vowels that maximize dev accuracy.
@@ -246,7 +241,7 @@ def select_vowel_subset(
     return chosen
 
 
-def _dev_scores(dev, model_set: VowelModelSet, vowels, tau: float, memo: dict) -> list:
+def _dev_scores(dev, model_set: ModelSet, vowels, tau: float, memo: dict) -> list:
     """Each dev utterance's accent and {vowel: (frames, per-accent totals)}.
 
     dev holds (accent, model input rows, vowel table) per utterance. A
@@ -297,7 +292,7 @@ def train_vowel_set(
     n_components: int,
     opts: EmOptions,
     subset_size: int,
-) -> VowelModelSet:
+) -> ModelSet:
     """Per-accent, per-vowel models with their vowel subset, weights and τ chosen on dev.
 
     pools holds the training rows of each (accent, vowel); a vowel without
@@ -316,7 +311,7 @@ def train_vowel_set(
         raise DataError("no vowel has training frames in every accent")
     models = train_pools({key: X for key, X in pools.items() if key[1] in vowels}, labels, n_components, opts)
     frame_counts = {v: sum(pools[(lab, v)].shape[0] for lab in labels) for v in vowels}
-    all_vowels = VowelModelSet(labels, vowels, vowel_weights(frame_counts, vowels), models)
+    all_vowels = ModelSet(labels, models, subset=vowels, weights=vowel_weights(frame_counts, vowels))
 
     memo: dict = {}  # shared by selection and every τ grid point
     dev_scores = _dev_scores(dev, all_vowels, vowels, float("-inf"), memo)
@@ -339,15 +334,10 @@ _MANIFEST_LINES = {
 }
 
 
-def save_model_set(out_dir, model_set) -> Path:
-    """Write a model set directory: manifest plus one ACGMM1 file per model.
-
-    A model's key is (accent,) in a baseline set and (accent, vowel) in a
-    vowel set; its file is models/<key joined by _>.gmm.
-    """
-    if not isinstance(model_set, (AccentModelSet, VowelModelSet)):
-        raise TypeError(f"cannot serialize {type(model_set).__name__}")
-    vowel = isinstance(model_set, VowelModelSet)
+def save_model_set(out_dir, model_set: ModelSet) -> Path:
+    """Write a model set directory: manifest plus one ACGMM1 file per model,
+    models/<key joined by _>.gmm, in the order of model_set.keys."""
+    vowel = model_set.subset is not None
     out_dir = Path(out_dir)
     (out_dir / "models").mkdir(parents=True, exist_ok=True)
     lines = [f"{MODELSET_MAGIC} {'vowel' if vowel else 'baseline'}",
@@ -358,17 +348,16 @@ def save_model_set(out_dir, model_set) -> Path:
     if vowel:
         lines += [f"tau {model_set.confidence_tau!r}", "subset " + " ".join(model_set.subset)]
         lines += [f"weight {v} {model_set.weights[v]!r}" for v in model_set.subset]
-    for lab in model_set.labels:
-        for key in [(lab, v) for v in model_set.subset] if vowel else [(lab,)]:
-            rel = f"models/{'_'.join(key)}.gmm"
-            save_gmm(out_dir / rel, model_set.models[key if vowel else lab])
-            lines.append(f"gmm {' '.join(key)} {rel} {records.sha256(out_dir / rel)}")
+    for key in model_set.keys:
+        rel = f"models/{'_'.join(key)}.gmm"
+        save_gmm(out_dir / rel, model_set.models[key])
+        lines.append(f"gmm {' '.join(key)} {rel} {records.sha256(out_dir / rel)}")
     manifest = out_dir / "modelset.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
-def load_model_set(in_dir):
+def load_model_set(in_dir) -> ModelSet:
     """Read a model set directory, verifying each file's recorded SHA-256."""
     in_dir = Path(in_dir)
     manifest = in_dir / "modelset.txt"
@@ -382,8 +371,7 @@ def load_model_set(in_dir):
     fingerprint = ""
     transform_ref = None
     tau = float("-inf")
-    subset: list[str] = []
-    weights: dict[str, float] = {}
+    subset, weights = ([], {}) if kind == "vowel" else (None, None)
     models: dict[tuple[str, ...], GmmModel] = {}
     seen: set[str] = set()  # save_model_set writes each line below once
 
@@ -429,12 +417,6 @@ def load_model_set(in_dir):
 
     labels = list(dict.fromkeys(key[0] for key in models))  # in order of first appearance
     try:
-        if kind == "baseline":
-            return AccentModelSet(labels, {lab: m for (lab,), m in models.items()},
-                                  fingerprint, transform_ref)
-        return VowelModelSet(
-            labels, subset, weights, models,
-            fingerprint=fingerprint, transform_ref=transform_ref, confidence_tau=tau,
-        )
+        return ModelSet(labels, models, fingerprint, transform_ref, subset, weights, tau)
     except ValueError as exc:
         raise DataError(f"{manifest}: {exc}") from None

@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")  # before anything imports numpy
     from . import pipeline
-    from .config import default_config, load_config
+    from .config import PipelineConfig, load_config
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config, seed_override=args.seed)
         else:
-            cfg = default_config(seed=args.seed or 0)
+            cfg = PipelineConfig(seed=args.seed or 0)
 
         if args.command == "synthcorpus":
             manifest = pipeline.cmd_synthcorpus(cfg, args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import records
 from .errors import DataError
@@ -56,6 +56,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.em = replace(self.em, seed=self.seed)  # a copy: an EmOptions passed in keeps its seed
         if self.transform not in ("lda", "hlda"):
             raise ValueError(f"transform must be lda|hlda, got {self.transform!r}")
         if self.mvn_scope != "utterance":
@@ -124,7 +125,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
                 raise DataError(f"{path}: bad value for [{section}] {key}: {exc}")
 
     seed = values["run"].get("seed", 0) if seed_override is None else seed_override
-    values["em"]["seed"] = seed
 
     def build(section: str, cls, **more):
         try:
@@ -134,12 +134,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 
     sections = {name: build(name, cls) for name, cls in _SECTIONS.items()}
     return build("model", PipelineConfig, **sections, seed=seed)
-
-
-def default_config(seed: int = 0) -> PipelineConfig:
-    cfg = PipelineConfig(seed=seed)
-    cfg.em.seed = seed
-    return cfg
 
 
 def canonical_lines(cfg: PipelineConfig) -> list[str]:

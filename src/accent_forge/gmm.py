@@ -1,9 +1,10 @@
 """Diagonal-covariance Gaussian mixture models trained by expectation-maximization.
 
 Each model derives its scoring terms once, when built: (prec/2)^T, (mu*prec)^T,
-sum(mu^2*prec)/2, log_norm and log w. Scoring is two GEMMs and four passes:
-X^2 @ (prec/2)^T, minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all
-that, plus log w. This equals the textbook form, which halves at the end, bit for bit:
+sum(mu^2*prec)/2, log_norm and log w. Scoring reads the caller's X, uncopied,
+and X^2 from PreparedFrames, and is two GEMMs and four passes: X^2 @ (prec/2)^T,
+minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all that, plus log w.
+This equals the textbook form, which halves at the end, bit for bit:
 scaling by a power of two commutes with every rounding, the GEMM's FMAs included,
 outside the subnormal range. Each frame's exponentials are summed in ascending
 order after a max shift, so scores do not depend on the order of the components.
@@ -13,15 +14,15 @@ arguments below EXP_CLAMP = -700 to it: a row's maximum adds exp(0) = 1, and an
 addend below e^-700 reaches a total of at least 1 only through exact rounding ties.
 
 EM sums in its own order, to rounding of the scoring above, not bit for bit. It
-stacks its frames once as Y = [X^2, X]. An E-step takes the log-joint from one GEMM
-subtracted from one constant per component, and makes one clamped exp of it
-after the max shift. Its unsorted sums give the frame likelihoods. Subtracting
-exp(EXP_CLAMP) flushes the clamped entries to +0.0 and moves no other by more
-than that. One GEMM, resp @ Y, gives both M-step sums. While each sum is at
-least EXACT_SUMS_ABOVE = 2^-900, terms below e^-700 lie far below its last bit;
-otherwise the step is redone from exact responsibilities. An all-zero column of
-frames, whose sums are exactly 0 either way, is left out. k-means stops at an
-exact fixed point of its centers.
+stacks its own copy of the frames once as Y = [X^2, X]. An E-step takes the
+log-joint from one GEMM subtracted from one constant per component, and makes
+one clamped exp of it after the max shift. Its unsorted sums give the frame
+likelihoods. Subtracting exp(EXP_CLAMP) flushes the clamped entries to +0.0 and
+moves no other by more than that. One GEMM, resp @ Y, gives both M-step sums.
+While each sum is at least EXACT_SUMS_ABOVE = 2^-900, terms below e^-700 lie
+far below its last bit; otherwise the step is redone from exact
+responsibilities. An all-zero column of frames, whose sums are exactly 0 either
+way, is left out. k-means stops at an exact fixed point of its centers.
 """
 
 from __future__ import annotations
@@ -115,21 +116,14 @@ EXACT_SUMS_ABOVE = 2.0 ** -900
 
 
 class PreparedFrames:
-    """Frames scored against several models: Y = [X * X, X], stacked once,
-    whose right half is X, and the two (N, K) work buffers, made once and
-    shared by every model with K components."""
+    """Frames scored against several models: the caller's X, uncopied, its
+    squares X * X, and the two (N, K) work buffers, made once and shared by
+    every model with K components."""
 
     def __init__(self, X):
-        X = _as_matrix(X)
-        d = X.shape[1]
-        self.stacked = np.empty((X.shape[0], 2 * d))
-        np.multiply(X, X, out=self.stacked[:, :d])
-        self.stacked[:, d:] = X
-        self.values = self.stacked[:, d:]
+        self.values = _as_matrix(X)
+        self.squares = self.values * self.values
         self._buffers = {}
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
 
     def buffers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in self._buffers:
@@ -148,7 +142,7 @@ def _log_joint(model: GmmModel, frames: PreparedFrames, out: np.ndarray, work: n
     if X.shape[1] != model.dims:
         raise ValueError(f"feature dims {X.shape[1]} do not match model dims {model.dims}")
     half_prec_t, mu_prec_t, half_sq_sum, log_norm, log_weights = model._terms
-    np.matmul(frames.stacked[:, :model.dims], half_prec_t, out=out)
+    np.matmul(frames.squares, half_prec_t, out=out)
     out -= np.matmul(X, mu_prec_t, out=work)
     out += half_sq_sum
     np.subtract(log_norm, out, out=out)
@@ -339,7 +333,9 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
     model = GmmModel(weights, means, variances)
 
     trace: list[float] = []
-    Y = PreparedFrames(X).stacked
+    Y = np.empty((n_frames, 2 * dims))
+    np.multiply(X, X, out=Y[:, :dims])
+    Y[:, dims:] = X
     log_joint, resp = np.empty((n_components, n_frames)), np.empty((n_components, n_frames))
     stats = np.empty((n_components, 2 * dims))  # per component: sum r * x^2, then sum r * x
     live = np.tile(X.any(axis=0), 2)  # an all-zero column's sums are exactly 0 on both paths

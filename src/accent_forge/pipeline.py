@@ -25,8 +25,7 @@ import numpy as np
 
 from . import records
 from .accent import (
-    AccentModelSet,
-    VowelModelSet,
+    ModelSet,
     classify_baseline,
     classify_vowel,
     load_model_set,
@@ -224,7 +223,11 @@ class _Run:
         path = self.root / "features" / f"{entry.utterance_id}.feat"
         if not path.exists():
             raise DataError(f"{path}: features for {entry.utterance_id} not found; run featurize first")
-        return read_feature_archive(path)
+        feats = read_feature_archive(path)
+        width = 3 * self.cfg.plp.num_cepstra
+        if feats.dims != width:
+            raise DataError(f"{path}: {feats.dims} feature columns, but the [plp] configuration gives {width}")
+        return feats
 
     def vowel_segments(self, entry: ManifestEntry):
         """The alignment's segments, remapped onto silence-removed time."""
@@ -401,8 +404,7 @@ def cmd_train(manifest_path, cfg: PipelineConfig, out_dir, mode: str) -> Path:
             pools, run.labels, dev, dev_segments, cfg.n_components, cfg.em, cfg.vowel_subset_size
         )
     else:
-        models = train_pools(pools, run.labels, cfg.n_components, cfg.em)
-        model_set = AccentModelSet(run.labels, {lab: models[(lab,)] for lab in run.labels})
+        model_set = ModelSet(run.labels, train_pools(pools, run.labels, cfg.n_components, cfg.em))
     model_set.fingerprint = run.fingerprint
     model_set.transform_ref = None if transform is None else "transform.lin"
     save_model_set(model_dir, model_set)
@@ -426,7 +428,7 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_e
     labels = model_set.labels
     index = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    vowel = isinstance(model_set, VowelModelSet)
+    vowel = model_set.subset is not None
     skipped = 0
     for entry in run.parts["test"]:
         if entry.accent not in index:

@@ -1,7 +1,7 @@
 """Evaluation and silence-removal reports, in human and machine forms.
 
 The machine form is canonical JSON (sorted keys, two-space indent, trailing
-newline) so that save, load, and save again is byte-identical.
+newline), so equal reports are written as equal bytes.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from . import records
-from .errors import DataError
 
 
 @dataclass
@@ -64,26 +61,6 @@ def write_eval_report(path, report: EvaluationReport) -> None:
         "per_accent_accuracy": report.per_accent_accuracy,
     }
     Path(path).write_text(_canonical_json(payload), encoding="utf-8")
-
-
-def read_eval_report(path) -> EvaluationReport:
-    try:
-        payload = json.loads(records.read_text(path, "evaluation report"))
-    except ValueError as exc:
-        raise DataError(f"{path}: not a JSON evaluation report: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "evaluation":
-        raise DataError(f"{path}: not an evaluation report")
-    try:
-        return EvaluationReport(
-            labels=list(payload["labels"]),
-            confusion=np.array(payload["confusion"], dtype=np.int64),
-            utterances=int(payload["utterances"]),
-            fingerprint=payload.get("fingerprint", ""),
-            mode=payload.get("mode", ""),
-            skipped=int(payload.get("skipped", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed evaluation report ({type(exc).__name__}: {exc})") from None
 
 
 def format_eval_table(report: EvaluationReport) -> str:

@@ -5,8 +5,7 @@ import pytest
 
 from accent_forge import accent
 from accent_forge.accent import (
-    AccentModelSet,
-    VowelModelSet,
+    ModelSet,
     classify_baseline,
     classify_vowel,
     derive_seed,
@@ -33,8 +32,8 @@ def single_gaussian(mean, var=1.0, dims=2):
 
 
 def two_accent_set(sep=6.0):
-    return AccentModelSet(
-        ["A", "B"], {"A": single_gaussian(0.0), "B": single_gaussian(sep)}
+    return ModelSet(
+        ["A", "B"], {("A",): single_gaussian(0.0), ("B",): single_gaussian(sep)}
     )
 
 
@@ -82,7 +81,7 @@ class TestTrainBaseline:
 
 class TestClassifyBaseline:
     def test_single_accent_always_wins(self):
-        models = AccentModelSet(["only"], {"only": single_gaussian(0.0)})
+        models = ModelSet(["only"], {("only",): single_gaussian(0.0)})
         rng = np.random.default_rng(3)
         result = classify_baseline(models, rng.standard_normal((5, 2)))
         assert result.predicted == "only"
@@ -99,8 +98,8 @@ class TestClassifyBaseline:
         assert wins >= 99
 
     def test_identical_models_tie_to_first(self):
-        models = AccentModelSet(
-            ["one", "two"], {"one": single_gaussian(0.0), "two": single_gaussian(0.0)}
+        models = ModelSet(
+            ["one", "two"], {("one",): single_gaussian(0.0), ("two",): single_gaussian(0.0)}
         )
         rng = np.random.default_rng(4)
         result = classify_baseline(models, rng.standard_normal((10, 2)))
@@ -127,7 +126,7 @@ class TestClassifyBaseline:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((12, 2))
         models = two_accent_set()
-        swapped = AccentModelSet(["B", "A"], models.models)
+        swapped = ModelSet(["B", "A"], models.models)
         r1 = classify_baseline(models, X)
         r2 = classify_baseline(swapped, X)
         assert r1.scores == r2.scores
@@ -176,8 +175,8 @@ def test_classifiers_score_ragged_capped_pools_like_the_reference():
     labels = list(sizes)
     models = accent.train_pools(pools, labels, 8, EmOptions(max_iters=5))
     assert [models[(lab, "aa")].n_components for lab in labels] == [8, 5, 8, 3]
-    vset = VowelModelSet(labels, ["aa"], {"aa": 1.0}, models)
-    bset = AccentModelSet(labels, {lab: models[(lab, "aa")] for lab in labels})
+    vset = ModelSet(labels, models, subset=["aa"], weights={"aa": 1.0})
+    bset = ModelSet(labels, {(lab,): models[(lab, "aa")] for lab in labels})
     for n in (1, 20, 400):
         X = rng.standard_normal((n, 4)) * 2.0 + 1.0
         expected = {lab: reference_total(models[(lab, "aa")], X) for lab in labels}
@@ -188,7 +187,7 @@ def test_classifiers_score_ragged_capped_pools_like_the_reference():
 def vowel_set_for(labels, vowels, model_fn, weights=None):
     models = {(lab, v): model_fn(lab, v) for lab in labels for v in vowels}
     weights = weights or {v: 1.0 / len(vowels) for v in vowels}
-    return VowelModelSet(list(labels), list(vowels), weights, models)
+    return ModelSet(list(labels), models, subset=list(vowels), weights=weights)
 
 
 @pytest.mark.parametrize("weights, tau", [
@@ -200,9 +199,9 @@ def vowel_set_for(labels, vowels, model_fn, weights=None):
 ])
 def test_vowel_set_rejects_non_finite_or_missing_weights_and_nan_tau(weights, tau):
     models = {(lab, v): single_gaussian(0.0) for lab in "AB" for v in ("aa", "iy")}
-    VowelModelSet(["A", "B"], ["aa", "iy"], {"aa": 0.0, "iy": 1.0}, models, confidence_tau=float("-inf"))
+    ModelSet(["A", "B"], models, subset=["aa", "iy"], weights={"aa": 0.0, "iy": 1.0})
     with pytest.raises(ValueError):
-        VowelModelSet(["A", "B"], ["aa", "iy"], weights, models, confidence_tau=tau)
+        ModelSet(["A", "B"], models, subset=["aa", "iy"], weights=weights, confidence_tau=tau)
 
 
 class TestClassifyVowel:
@@ -210,7 +209,7 @@ class TestClassifyVowel:
         rng = np.random.default_rng(8)
         mA, mB = single_gaussian(0.0), single_gaussian(4.0)
         vset = vowel_set_for(["A", "B"], ["aa"], lambda lab, v: mA if lab == "A" else mB)
-        base = AccentModelSet(["A", "B"], {"A": mA, "B": mB})
+        base = ModelSet(["A", "B"], {("A",): mA, ("B",): mB})
         for seed in range(25):
             X = np.random.default_rng(seed).normal(seed % 5, 1.0, (6, 2))
             assert (
@@ -458,7 +457,7 @@ def random_vowel_set(rng, labels, vowels):
     centers = {(lab, v): rng.normal(0.0, 0.8, 2) for lab in labels for v in vowels}
     weights = vowel_weights(dict(zip(vowels, rng.uniform(0.1, 1.0, len(vowels)))), vowels)
     models = {key: random_gmm(rng, centers[key]) for key in centers}
-    return VowelModelSet(list(labels), list(vowels), weights, models), centers
+    return ModelSet(list(labels), models, subset=list(vowels), weights=weights), centers
 
 
 def random_dev(rng, labels, vowels, centers, n_utts):
@@ -534,7 +533,7 @@ class TestCachedVowelScoring:
         real = accent.mixture_log_likelihood
 
         def counting(model, X):
-            key = (id(model), np.asarray(X).tobytes())
+            key = (id(model), X.values.tobytes())
             calls[key] = calls.get(key, 0) + 1
             return real(model, X)
 
@@ -622,19 +621,19 @@ class TestModelSetSerialization:
     def test_baseline_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         models = {
-            lab: GmmModel(
+            (lab,): GmmModel(
                 np.array([0.4, 0.6]), rng.standard_normal((2, 3)), rng.uniform(0.5, 2, (2, 3))
             )
             for lab in ("A", "B")
         }
-        original = AccentModelSet(["A", "B"], models, fingerprint="f" * 64)
+        original = ModelSet(["A", "B"], models, fingerprint="f" * 64)
         out = tmp_path / "set"
         save_model_set(out, original)
         loaded = load_model_set(out)
         assert loaded.labels == ["A", "B"]
-        assert loaded.fingerprint == "f" * 64
-        for lab in ("A", "B"):
-            assert np.array_equal(loaded.models[lab].means, models[lab].means)
+        assert loaded.fingerprint == "f" * 64 and loaded.subset is None
+        for key in (("A",), ("B",)):
+            assert np.array_equal(loaded.models[key].means, models[key].means)
         manifest_before = (out / "modelset.txt").read_bytes()
         save_model_set(out, loaded)
         assert (out / "modelset.txt").read_bytes() == manifest_before
@@ -649,14 +648,13 @@ class TestModelSetSerialization:
             for lab in ("A", "B")
             for v in vowels
         }
-        original = VowelModelSet(
-            ["A", "B"], vowels, {"aa": 0.7, "iy": 0.3}, models,
-            fingerprint="0" * 64, confidence_tau=-2.5,
+        original = ModelSet(
+            ["A", "B"], models, fingerprint="0" * 64,
+            subset=vowels, weights={"aa": 0.7, "iy": 0.3}, confidence_tau=-2.5,
         )
         out = tmp_path / "vset"
         save_model_set(out, original)
         loaded = load_model_set(out)
-        assert isinstance(loaded, VowelModelSet)
         assert loaded.subset == vowels
         assert loaded.weights == {"aa": 0.7, "iy": 0.3}
         assert loaded.confidence_tau == -2.5
@@ -665,9 +663,9 @@ class TestModelSetSerialization:
         assert (out / "modelset.txt").read_bytes() == manifest_before
 
     def test_hash_mismatch_detected(self, tmp_path):
-        models = {"A": single_gaussian(0.0)}
+        models = {("A",): single_gaussian(0.0)}
         out = tmp_path / "set"
-        save_model_set(out, AccentModelSet(["A"], models))
+        save_model_set(out, ModelSet(["A"], models))
         target = out / "models" / "A.gmm"
         target.write_bytes(target.read_bytes()[:-8] + b"\x00" * 8)
         with pytest.raises(ConsistencyError, match="SHA-256"):
@@ -689,8 +687,8 @@ class TestModelSetSerialization:
     ])
     def test_malformed_line_is_data_error(self, tmp_path, bad):
         out = tmp_path / "vset"
-        save_model_set(out, VowelModelSet(
-            ["A"], ["aa"], {"aa": 1.0}, {("A", "aa"): single_gaussian(0.0)},
+        save_model_set(out, ModelSet(
+            ["A"], {("A", "aa"): single_gaussian(0.0)}, subset=["aa"], weights={"aa": 1.0},
         ))
         manifest = out / "modelset.txt"
         lines = manifest.read_text().splitlines()
@@ -706,10 +704,10 @@ class TestModelSetSerialization:
     def test_second_model_for_a_key_is_data_error(self, tmp_path, kind):
         out = tmp_path / "set"
         if kind == "baseline":
-            save_model_set(out, AccentModelSet(["A"], {"A": single_gaussian(0.0)}))
+            save_model_set(out, ModelSet(["A"], {("A",): single_gaussian(0.0)}))
         else:
-            save_model_set(out, VowelModelSet(
-                ["A"], ["aa"], {"aa": 1.0}, {("A", "aa"): single_gaussian(0.0)},
+            save_model_set(out, ModelSet(
+                ["A"], {("A", "aa"): single_gaussian(0.0)}, subset=["aa"], weights={"aa": 1.0},
             ))
         manifest = out / "modelset.txt"
         lines = manifest.read_text().splitlines()
@@ -732,8 +730,8 @@ class TestModelSetSerialization:
 
 def test_vowel_model_set_validation():
     with pytest.raises(ValueError):
-        VowelModelSet(["A"], ["zz"], {"zz": 1.0}, {("A", "zz"): single_gaussian(0)})
+        ModelSet(["A"], {("A", "zz"): single_gaussian(0)}, subset=["zz"], weights={"zz": 1.0})
     with pytest.raises(ValueError):
-        VowelModelSet(["A"], ["aa"], {"aa": 0.5}, {("A", "aa"): single_gaussian(0)})
+        ModelSet(["A"], {("A", "aa"): single_gaussian(0)}, subset=["aa"], weights={"aa": 0.5})
     with pytest.raises(ValueError):
-        VowelModelSet(["A"], ["aa"], {"aa": 1.0}, {})
+        ModelSet(["A"], {}, subset=["aa"], weights={"aa": 1.0})

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from accent_forge.audio import AudioBuffer, load_audio, save_audio
 from accent_forge.cli import main
 from accent_forge.config import (
+    PipelineConfig,
     SynthSpec,
     config_fingerprint,
-    default_config,
     load_config,
 )
 from accent_forge.corpus import (
@@ -37,11 +37,10 @@ from accent_forge.discriminant import (
 )
 from accent_forge.errors import ConsistencyError, DataError, UsageError
 from accent_forge.features import context_expand, read_feature_archive, write_feature_archive
-from accent_forge.gmm import em_fit
+from accent_forge.gmm import EmOptions, em_fit
 from accent_forge.report import (
     EvaluationReport,
     format_eval_table,
-    read_eval_report,
     write_eval_report,
 )
 from accent_forge.synth import generate_corpus, synthesize_utterance
@@ -139,13 +138,19 @@ class TestConfig:
         cfg = load_config(path, seed_override=99)
         assert cfg.seed == 99 and cfg.em.seed == 99
 
+    def test_em_seed_follows_the_run_seed(self):
+        # a library caller's split and every EM fit take one seed; an EmOptions passed in keeps its own
+        assert PipelineConfig(seed=5).em.seed == 5
+        shared = EmOptions(seed=3)
+        assert PipelineConfig(em=shared, seed=5).em.seed == 5 and shared.seed == 3
+
     def test_fingerprint_sensitivity(self):
-        base = default_config(seed=1)
-        other = default_config(seed=1)
+        base = PipelineConfig(seed=1)
+        other = PipelineConfig(seed=1)
         assert config_fingerprint(base) == config_fingerprint(other)
         other.reduced_dim = 21
         assert config_fingerprint(base) != config_fingerprint(other)
-        reseeded = default_config(seed=2)
+        reseeded = PipelineConfig(seed=2)
         assert config_fingerprint(base) != config_fingerprint(reseeded)
 
     def test_fingerprints_are_pinned(self, tmp_path):
@@ -154,8 +159,8 @@ class TestConfig:
         full = tmp_path / "full.ini"
         full.write_text(FULL_CONFIG.replace("delta_window = 2", "delta_window = 2\nnum_bark_bands = 15"))
         pinned = {
-            "d74cbff28fe1c111e66dc79bd8d5daf605d577ba4c2db425d9831a491d10e413": default_config(),
-            "13ebb01fa45d05d37e1c255df3c5b6d4c3da7dc9c5aa0c651441fcf653261f26": default_config(7),
+            "d74cbff28fe1c111e66dc79bd8d5daf605d577ba4c2db425d9831a491d10e413": PipelineConfig(),
+            "13ebb01fa45d05d37e1c255df3c5b6d4c3da7dc9c5aa0c651441fcf653261f26": PipelineConfig(seed=7),
             "c85f7c12479530b54ff7c5694097324fe770c89ed188f6ebb775d28512ed3e89":
                 load_config(Path(__file__).resolve().parents[1] / "example-config.ini"),
             "682c111f719716823bc37257c09453f649d06fd114dfc31c70500da3c4344d3d": load_config(full),
@@ -200,11 +205,12 @@ class TestEvaluationReport:
         )
         path = tmp_path / "r.json"
         write_eval_report(path, report)
-        loaded = read_eval_report(path)
+        stored = json.loads(path.read_text(encoding="utf-8"))
         blob = path.read_bytes()
-        write_eval_report(path, loaded)
+        fields = ("labels", "confusion", "utterances", "fingerprint", "mode", "skipped")
+        write_eval_report(path, EvaluationReport(*(stored[name] for name in fields)))
         assert path.read_bytes() == blob
-        assert loaded.overall_accuracy == report.overall_accuracy
+        assert stored["overall_accuracy"] == report.overall_accuracy == 7 / 8
 
     def test_table_renders(self):
         report = EvaluationReport(["A", "B"], np.array([[2, 0], [1, 1]]), 4)
@@ -343,19 +349,18 @@ class TestCliCommands:
                 "--out", str(root / "work"), "--mode", mode,
             ])
             assert rc == 0
-            report = read_eval_report(root / "work" / "reports" / f"eval-{mode}.json")
-            accuracies[mode] = report.overall_accuracy
-            assert report.confusion.sum() == report.utterances
+            report = json.loads((root / "work" / "reports" / f"eval-{mode}.json").read_text(encoding="utf-8"))
+            accuracies[mode] = report["overall_accuracy"]
+            assert np.sum(report["confusion"]) == report["utterances"]
         assert all(0.0 <= acc <= 1.0 for acc in accuracies.values())
 
     def test_vowel_model_round_trips_after_training(self, tiny_workspace):
         root, _, _ = tiny_workspace
-        from accent_forge.accent import load_model_set, save_model_set, VowelModelSet
+        from accent_forge.accent import load_model_set, save_model_set
 
         model_dir = root / "work" / "models-vowel-hlda"
         loaded = load_model_set(model_dir)
-        assert isinstance(loaded, VowelModelSet)
-        assert len(loaded.subset) <= 3
+        assert loaded.subset is not None and len(loaded.subset) <= 3
         manifest_blob = (model_dir / "modelset.txt").read_bytes()
         save_model_set(model_dir, loaded)
         assert (model_dir / "modelset.txt").read_bytes() == manifest_blob
@@ -393,6 +398,46 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "accent-forge: data error:" in err and "A.gmm" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def narrow_one_archive(tiny_workspace, ws, part):
+        """Copy the tiny workspace's masks and features to ws and cut the first
+        archive of the split's part to 38 columns; return that archive."""
+        root, cfg_path, manifest = tiny_workspace
+        for stage in ("vad", "features"):
+            shutil.copytree(root / "work" / stage, ws / stage)
+        tags = split_dataset(parse_manifest(manifest), seed=load_config(cfg_path).seed).tags
+        utt = next(u for u, tag in tags.items() if tag == part)
+        path = ws / "features" / f"{utt}.feat"
+        feats = read_feature_archive(path)
+        write_feature_archive(path, feats.with_values(feats.values[:, :38]))
+        return path
+
+    def test_train_refuses_archive_of_wrong_width(self, tiny_workspace, tmp_path, capsys):
+        # without the check, HLDA fitted unwritten columns and project then raised a traceback
+        _, cfg_path, manifest = tiny_workspace
+        ws = tmp_path / "w"
+        path = self.narrow_one_archive(tiny_workspace, ws, "train")
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(ws), "--mode", "baseline-hlda"]) == 2
+        err = capsys.readouterr().err
+        assert f"accent-forge: data error: {path}: 38 feature columns" in err and "gives 39" in err
+        assert "Traceback" not in err and not (ws / "transform").exists()
+
+    def test_evaluate_refuses_archive_of_wrong_width(self, tiny_workspace, tmp_path, capsys):
+        # without the check, evaluate skipped the utterance with a warning and exited 0
+        _, cfg_path, manifest = tiny_workspace
+        ws = tmp_path / "w"
+        args = ["--manifest", str(manifest), "--config", str(cfg_path), "--out", str(ws),
+                "--mode", "baseline-plp"]
+        path = self.narrow_one_archive(tiny_workspace, ws, "test")
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"accent-forge: data error: {path}: 38 feature columns" in err and "gives 39" in err
+        assert "Traceback" not in err and not (ws / "reports").exists()
 
     def test_train_without_features_fails_consistently(self, tiny_workspace, tmp_path):
         root, cfg_path, manifest = tiny_workspace
@@ -886,8 +931,9 @@ def loaded_after(statement: str, package: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy takes over a second to import; only synthcorpus and LDA fits load it
-    assert loaded_after("import accent_forge.cli", "scipy") == "[]"
+    # scipy takes over a second to import (scipy.signal alone about 0.9 s), and
+    # every CLI stage imports the pipeline; only synthcorpus and LDA/HLDA fits load it
+    assert loaded_after("import accent_forge.cli, accent_forge.pipeline", "scipy") == "[]"
 
 
 def test_package_and_cli_import_leave_numpy_unloaded():

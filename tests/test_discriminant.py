@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from accent_forge import discriminant, pipeline
-from accent_forge.config import default_config
+from accent_forge.config import PipelineConfig
 from accent_forge.discriminant import (
     LabeledFeatures,
     LinearTransform,
@@ -578,7 +578,7 @@ class TestOnePassFit:
     @pytest.mark.parametrize("kind", ["lda", "hlda"])
     def test_fit_matches_first_formulas_bytewise(self, monkeypatch, context, kind):
         train_feats = accent_utterances(40 + context)
-        cfg = replace(default_config(), context_size=context, transform=kind, reduced_dim=3)
+        cfg = replace(PipelineConfig(), context_size=context, transform=kind, reduced_dim=3)
         run = pipeline._Run(cfg, None, None, ["A", "B", "C"], {}, "")
         seen = capture_fit_input(monkeypatch, f"{kind}_fit")
         transform, record = pipeline._fit_transform(run, train_feats)
@@ -643,7 +643,7 @@ class TestOnePassFit:
             (accent, FeatureMatrix(rng.standard_normal((8000, 39)) * rng.uniform(0.5, 2.0, 39), accent))
             for accent in "ABC"
         ]
-        cfg = replace(default_config(), context_size=1, transform=kind, reduced_dim=20)
+        cfg = replace(PipelineConfig(), context_size=1, transform=kind, reduced_dim=20)
         run = pipeline._Run(cfg, None, None, ["A", "B", "C"], {}, "")
         # two sweeps keep the test short; the sweeps never touch the rows
         monkeypatch.setattr(pipeline, "hlda_fit", lambda *a, **kw: hlda_fit(*a, **kw, max_iters=2))

@@ -461,7 +461,7 @@ def test_e_step_matches_reference(case):
     # +0.0 below it, and each frame's responsibilities sum to 1
     X, k, extra = em_case(case, np.random.default_rng(8))
     model = naive_em_init(X, k, EmOptions(seed=1, **extra))
-    Y = PreparedFrames(X).stacked
+    Y = np.hstack([X * X, X])
     log_joint, resp = np.empty((k, X.shape[0])), np.empty((k, X.shape[0]))
     frame_ll, inv_total = gmm._e_step(model, Y, log_joint, resp)
     np.testing.assert_allclose(frame_ll, reference_frame_log_likelihoods(model, X), rtol=1e-12, atol=0.0)
@@ -716,9 +716,8 @@ def test_model_arrays_and_terms_cannot_change():
 def test_prepared_frames_read_as_their_values():
     X = np.random.default_rng(24).standard_normal((6, 4))
     frames = PreparedFrames(X)
-    assert np.asarray(frames).tobytes() == X.tobytes() and frames.values.shape == (6, 4)
-    assert frames.stacked.tobytes() == np.hstack([X * X, X]).tobytes()
-    assert np.shares_memory(frames.values, frames.stacked)
+    assert frames.values is X  # the caller's frames, not a copy
+    assert frames.squares.tobytes() == (X * X).tobytes()
     assert frames.buffers(5) is frames.buffers(5) and frames.buffers(3)[0].shape == (6, 3)
 
 

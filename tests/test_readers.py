@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from accent_forge.accent import AccentModelSet, VowelModelSet, load_model_set, save_model_set
+from accent_forge.accent import ModelSet, load_model_set, save_model_set
 from accent_forge.audio import load_audio
 from accent_forge.config import load_config
 from accent_forge.corpus import parse_alignment, parse_manifest
@@ -21,7 +21,6 @@ from accent_forge.discriminant import LinearTransform, load_transform, save_tran
 from accent_forge.errors import ConsistencyError, DataError
 from accent_forge.features import FeatureMatrix, read_feature_archive, write_feature_archive
 from accent_forge.gmm import GmmModel, load_gmm, save_gmm
-from accent_forge.report import read_eval_report
 from accent_forge.vad import SpeechMask, load_mask, save_mask
 
 
@@ -42,6 +41,21 @@ def stereo_wav(frames: int = 50) -> bytes:
 
 NOT_UTF8 = b"\xff\xfe\n"
 
+# two well-formed models, of one and of two dimensions, which no set can hold together
+LISTED_MODELS = {
+    "models/A_aa.gmm": b"ACGMM1 1 1\n" + f64(1.0, 0.0, 1.0),
+    "models/B_aa.gmm": b"ACGMM1 1 2\n" + f64(1.0, 0.0, 0.0, 1.0, 1.0),
+}
+
+
+def load_set_with_listed_models(path):
+    """load_model_set on the manifest at path, with LISTED_MODELS written beside it."""
+    for rel, blob in LISTED_MODELS.items():
+        (path.parent / rel).parent.mkdir(exist_ok=True)
+        (path.parent / rel).write_bytes(blob)
+    return load_model_set(path.parent)
+
+
 READERS = {
     "transform": (load_transform, "t.lin"),
     "features": (read_feature_archive, "u.feat"),
@@ -52,7 +66,7 @@ READERS = {
     "manifest": (parse_manifest, "m.tsv"),
     "config": (load_config, "c.ini"),
     "model_set": (lambda path: load_model_set(path.parent), "modelset.txt"),
-    "eval_report": (read_eval_report, "eval.json"),
+    "listed_models": (load_set_with_listed_models, "modelset.txt"),
     "audio": (load_audio, "a.wav"),
 }
 
@@ -133,13 +147,6 @@ DAMAGED = {
     "config-hlda_keeping_every_dim": b"[model]\ntransform = hlda\ncontext_size = 0\nreduced_dim = 39\n",
     **ONE_BAD_CONFIG_VALUE,
     "model_set-not_utf8": NOT_UTF8,
-    "eval_report-not_utf8": NOT_UTF8,
-    "eval_report-a_list": b"[1, 2]\n",
-    "eval_report-no_labels": b'{"kind": "evaluation"}\n',
-    "eval_report-labels_not_a_list": b'{"kind": "evaluation", "labels": 3, "confusion": [],'
-                                     b' "utterances": 0}\n',
-    "eval_report-non_square_confusion": b'{"kind": "evaluation", "labels": ["A", "B"],'
-                                        b' "confusion": [[1, 0]], "utterances": 1}\n',
     "model_set-tau_in_baseline": b"ACMSET1 baseline\nfingerprint -\ntau 0.5\n",
     "model_set-subset_in_baseline": b"ACMSET1 baseline\nfingerprint -\nsubset aa\n",
     "model_set-weight_in_baseline": b"ACMSET1 baseline\nfingerprint -\nweight aa 1.0\n",
@@ -151,6 +158,10 @@ DAMAGED = {
     "model_set-second_subset": VOWEL_SET_HEAD + b"tau -inf\nsubset aa\nsubset aa\nweight aa 1.0\n",
     "model_set-second_fingerprint": VOWEL_SET_HEAD + b"fingerprint -\ntau -inf\nsubset aa\nweight aa 1.0\n",
     "model_set-second_weight": VOWEL_SET_HEAD + b"tau -inf\nsubset aa\nweight aa 0.5\nweight aa 1.0\n",
+    "listed_models-dims_differ": VOWEL_SET_HEAD + b"tau -inf\nsubset aa\nweight aa 1.0\n" + "".join(
+        f"gmm {rel[7]} aa {rel} {hashlib.sha256(blob).hexdigest()}\n"
+        for rel, blob in LISTED_MODELS.items()
+    ).encode(),
     # a 16-bit stereo sample frame is 4 bytes; these end inside the last one
     "audio-last_3_bytes_cut": stereo_wav()[:-3],
     "audio-last_2_bytes_cut": stereo_wav()[:-2],
@@ -204,7 +215,6 @@ WELL_FORMED = {
     "alignment": b"0.5 0.75 AA1 0.9\n",
     "manifest": b"u\tu.wav\tA\n",
     "config": b"[run]\nseed = 3\n",
-    "eval_report": b'{"kind": "evaluation", "labels": ["A"], "confusion": [[1]], "utterances": 1}\n',
     "audio": stereo_wav(),
 }
 
@@ -276,14 +286,14 @@ def save_sets(root: Path) -> dict[str, Path]:
         return GmmModel(np.array([0.25, 0.75]), np.full((2, 1), shift), np.ones((2, 1)))
 
     baseline = root / "baseline"
-    save_model_set(baseline, AccentModelSet(["A", "B"], {"A": gmm(0.0), "B": gmm(1.0)}))
+    save_model_set(baseline, ModelSet(["A", "B"], {("A",): gmm(0.0), ("B",): gmm(1.0)}))
     vowel = root / "vowel"
     vowel.mkdir()
     (vowel / "transform.lin").write_bytes(WELL_FORMED["transform"])
-    save_model_set(vowel, VowelModelSet(
-        ["A", "B"], ["aa", "iy"], {"aa": 0.5, "iy": 0.5},
-        {(lab, v): gmm(i) for i, lab in enumerate("AB") for v in ("aa", "iy")},
-        fingerprint="f" * 64, transform_ref="transform.lin", confidence_tau=-1.5,
+    save_model_set(vowel, ModelSet(
+        ["A", "B"], {(lab, v): gmm(i) for i, lab in enumerate("AB") for v in ("aa", "iy")},
+        fingerprint="f" * 64, transform_ref="transform.lin",
+        subset=["aa", "iy"], weights={"aa": 0.5, "iy": 0.5}, confidence_tau=-1.5,
     ))
     return {"baseline_set": baseline, "vowel_set": vowel}
 
