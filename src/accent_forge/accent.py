@@ -7,6 +7,11 @@ vowel-combined classifier scores each vowel's frames against each accent's
 model of that vowel, divides each total by the vowel's frame count, and
 fuses the vowel scores with vowel-proportion weights; train_vowel_set fits
 those models and picks their vowel subset and confidence threshold on dev.
+
+Both classifiers and the dev scoring of vowel training score an utterance
+against every accent at once, through a float32 stack the set derives once
+per suffix: each total is within the gmm module's stated float32 bound of
+float64 scoring, not equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,15 +19,16 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import records
 from .corpus import VOWELS, vowel_rows
+from .discriminant import LinearTransform, load_transform
 from .errors import ConsistencyError, DataError
-from .gmm import EmOptions, GmmModel, PreparedFrames, em_fit, load_gmm, mixture_log_likelihood, save_gmm
+from .gmm import EmOptions, GmmModel, ModelStack, em_fit, load_gmm, save_gmm, stack_models, stacked_log_likelihoods
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +43,8 @@ def derive_seed(base: int, *parts: int) -> int:
 class ModelSet:
     """Mixture models keyed (accent,) in a baseline set, or (accent, vowel) in a
     vowel set, which adds its vowel subset, fusion weights and confidence
-    threshold; plus the front-end provenance."""
+    threshold; plus the front-end provenance and, in a loaded set, the
+    transform that transform_ref names."""
 
     labels: list[str]
     models: dict[tuple[str, ...], GmmModel]
@@ -46,6 +53,8 @@ class ModelSet:
     subset: list[str] | None = None  # None in a baseline set
     weights: dict[str, float] | None = None
     confidence_tau: float = float("-inf")
+    transform: LinearTransform | None = field(default=None, repr=False, compare=False)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def keys(self) -> list[tuple[str, ...]]:
@@ -72,6 +81,13 @@ class ModelSet:
             raise ValueError(f"missing models for: {', '.join(missing)}")
         if len({m.dims for m in self.models.values()}) > 1:
             raise ValueError("all models must share dimensions")
+
+    def stack(self, suffix: tuple[str, ...] = ()) -> ModelStack:
+        """The float32 scoring terms of the models keyed (accent, *suffix), in
+        label order, derived on first use and kept while the set lives."""
+        if suffix not in self._stacks:
+            self._stacks[suffix] = stack_models([self.models[(lab, *suffix)] for lab in self.labels])
+        return self._stacks[suffix]
 
 
 @dataclass
@@ -107,8 +123,7 @@ def train_pools(
 
 def _accent_totals(models: ModelSet, suffix: tuple[str, ...], X: np.ndarray) -> dict[str, float]:
     """Total log likelihood of X under each accent's model, keyed (accent, *suffix)."""
-    frames = PreparedFrames(X)
-    return {lab: mixture_log_likelihood(models.models[(lab, *suffix)], frames) for lab in models.labels}
+    return dict(zip(models.labels, stacked_log_likelihoods(models.stack(suffix), X).tolist()))
 
 
 def classify_baseline(models: ModelSet, X: np.ndarray) -> ClassificationResult:
@@ -350,15 +365,16 @@ def save_model_set(out_dir, model_set: ModelSet) -> Path:
         lines += [f"weight {v} {model_set.weights[v]!r}" for v in model_set.subset]
     for key in model_set.keys:
         rel = f"models/{'_'.join(key)}.gmm"
-        save_gmm(out_dir / rel, model_set.models[key])
-        lines.append(f"gmm {' '.join(key)} {rel} {records.sha256(out_dir / rel)}")
+        lines.append(f"gmm {' '.join(key)} {rel} {save_gmm(out_dir / rel, model_set.models[key])}")
     manifest = out_dir / "modelset.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
 def load_model_set(in_dir) -> ModelSet:
-    """Read a model set directory, verifying each file's recorded SHA-256."""
+    """Read a model set directory and its transform, if it lists one. Each
+    listed file is read once: its SHA-256 is checked, then the same bytes
+    are parsed."""
     in_dir = Path(in_dir)
     manifest = in_dir / "modelset.txt"
     lines = records.read_text(manifest, "model set manifest").splitlines()
@@ -369,7 +385,7 @@ def load_model_set(in_dir) -> ModelSet:
     arity = _MANIFEST_LINES[kind]
 
     fingerprint = ""
-    transform_ref = None
+    transform_ref = transform = None
     tau = float("-inf")
     subset, weights = ([], {}) if kind == "vowel" else (None, None)
     models: dict[tuple[str, ...], GmmModel] = {}
@@ -397,13 +413,14 @@ def load_model_set(in_dir) -> ModelSet:
             path = in_dir / fields[-2]
             if not path.is_file():
                 raise DataError(f"{path}: listed in {manifest} but missing")
-            if records.sha256(path) != fields[-1]:
+            raw = path.read_bytes()
+            if hashlib.sha256(raw).hexdigest() != fields[-1]:
                 raise ConsistencyError(f"{path}: SHA-256 mismatch (corrupt or substituted file)")
 
         if tag == "fingerprint":
             fingerprint = "" if fields[0] == "-" else fields[0]
         elif tag == "transform":
-            transform_ref = fields[0]
+            transform_ref, transform = fields[0], load_transform(path, raw)
         elif tag == "tau":
             tau = value
         elif tag == "subset":
@@ -413,10 +430,10 @@ def load_model_set(in_dir) -> ModelSet:
         elif tag == "weight":
             weights[fields[0]] = value
         else:
-            models[tuple(fields[:-2])] = load_gmm(path)
+            models[tuple(fields[:-2])] = load_gmm(path, raw)
 
     labels = list(dict.fromkeys(key[0] for key in models))  # in order of first appearance
     try:
-        return ModelSet(labels, models, fingerprint, transform_ref, subset, weights, tau)
+        return ModelSet(labels, models, fingerprint, transform_ref, subset, weights, tau, transform)
     except ValueError as exc:
         raise DataError(f"{manifest}: {exc}") from None

@@ -311,10 +311,10 @@ def save_transform(path, t: LinearTransform) -> None:
         records.write_record(fh, TRANSFORM_MAGIC, [t.kind, *t.matrix.shape, t.retained], t.matrix)
 
 
-def load_transform(path) -> LinearTransform:
-    """Read a transform written by save_transform; any damage is a DataError
-    naming the file."""
-    with open(path, "rb") as fh:
+def load_transform(path, raw: bytes | None = None) -> LinearTransform:
+    """Read a transform written by save_transform, from raw if given (the
+    bytes the caller read from path); any damage is a DataError naming the file."""
+    with records.open_binary(path, raw) as fh:
         kind, rows, cols, retained = records.read_header(fh, path, TRANSFORM_MAGIC, str, int, int, int)
         if rows < 1 or cols < 1:
             raise DataError(f"{path}: an ACHLDA1 matrix of {rows} x {cols}")

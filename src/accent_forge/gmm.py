@@ -1,17 +1,29 @@
 """Diagonal-covariance Gaussian mixture models trained by expectation-maximization.
 
 Each model derives its scoring terms once, when built: (prec/2)^T, (mu*prec)^T,
-sum(mu^2*prec)/2, log_norm and log w. Scoring reads the caller's X, uncopied,
-and X^2 from PreparedFrames, and is two GEMMs and four passes: X^2 @ (prec/2)^T,
-minus X @ (mu*prec)^T, plus the halved sum, log_norm minus all that, plus log w.
-This equals the textbook form, which halves at the end, bit for bit:
-scaling by a power of two commutes with every rounding, the GEMM's FMAs included,
-outside the subnormal range. Each frame's exponentials are summed in ascending
-order after a max shift, so scores do not depend on the order of the components.
+sum(mu^2*prec)/2, log_norm and log w. A ModelStack lays several models' terms
+side by side, and one kernel scores frames against all of them: two GEMMs and
+four passes, X^2 @ (prec/2)^T, minus X @ (mu*prec)^T, plus the halved sum,
+log_norm minus all that, plus log w; then one sort of each (frame, model) row of
+K values, so the sums do not depend on the order of the components, the max
+shift, a clamp and exp. The exp sums, their logs and all totals are float64.
 
-np.exp is about 150x slower below about -707. The log-sum-exp raises shifted
-arguments below EXP_CLAMP = -700 to it: a row's maximum adds exp(0) = 1, and an
-addend below e^-700 reaches a total of at least 1 only through exact rounding ties.
+frame_log_likelihoods runs the kernel on a model's own float64 terms. That
+equals the textbook form, which halves at the end, bit for bit: scaling by a
+power of two commutes with every rounding, the GEMM's FMAs included, outside
+the subnormal range. np.exp is about 150x slower below about -707, so shifted
+arguments below EXP_CLAMP = -700 are raised to it: a row's maximum adds
+exp(0) = 1, and an addend below e^-700 reaches a total of at least 1 only
+through exact rounding ties.
+
+The classifiers score float32 stacks: the log-joint and exp are float32, and
+the clamp is EXP_CLAMP_FLOAT32 = -87.3, where float32 np.exp still gives a
+normal number (subnormals run about 12x slower). A frame's float32 score is
+within (d + 8) u M + 96 u of the float64 one, u = 2^-24, where M is the largest
+x^2.prec/2 + |x|.|mu*prec| + sum(mu^2*prec)/2 + |log_norm| + |log w| of a
+weighted component. On the benchmark's reference workload the largest errors
+seen were 0.0011 on a frame and 0.0034 on an utterance's total. Float32 scores
+are deterministic for one machine and BLAS thread count, not across BLAS kernels.
 
 EM sums in its own order, to rounding of the scoring above, not bit for bit. It
 stacks its own copy of the frames once as Y = [X^2, X]. An E-step takes the
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,41 +126,7 @@ EXP_ZERO_BELOW = -746.0
 EXP_CLAMP = -700.0
 EXP_CLAMPED = float(np.exp(np.array([EXP_CLAMP]))[0])  # as np.exp gives it inside an array
 EXACT_SUMS_ABOVE = 2.0 ** -900
-
-
-class PreparedFrames:
-    """Frames scored against several models: the caller's X, uncopied, its
-    squares X * X, and the two (N, K) work buffers, made once and shared by
-    every model with K components."""
-
-    def __init__(self, X):
-        self.values = _as_matrix(X)
-        self.squares = self.values * self.values
-        self._buffers = {}
-
-    def buffers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k not in self._buffers:
-            shape = (self.values.shape[0], k)
-            self._buffers[k] = (np.empty(shape), np.empty(shape))
-        return self._buffers[k]
-
-
-def _log_joint(model: GmmModel, frames: PreparedFrames, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log w_k + log N(x_n; mu_k, var_k) into out, shape (N, K).
-
-    Evaluated in place from the model's terms, one pass at a time in the order
-    the module docstring gives; work is an (N, K) scratch buffer.
-    """
-    X = frames.values
-    if X.shape[1] != model.dims:
-        raise ValueError(f"feature dims {X.shape[1]} do not match model dims {model.dims}")
-    half_prec_t, mu_prec_t, half_sq_sum, log_norm, log_weights = model._terms
-    np.matmul(frames.squares, half_prec_t, out=out)
-    out -= np.matmul(X, mu_prec_t, out=work)
-    out += half_sq_sum
-    np.subtract(log_norm, out, out=out)
-    out += log_weights
-    return out
+EXP_CLAMP_FLOAT32 = -87.3  # above log(2^-126) = -87.34, where float32 np.exp turns subnormal
 
 
 def _exp_in_place(a: np.ndarray) -> np.ndarray:
@@ -157,34 +136,90 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
     return np.exp(a, out=a)
 
 
-def _logsumexp_rows(z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of z; addends are sorted so the result is
-    order-invariant. work is a scratch array of z's shape.
+class ModelStack(NamedTuple):
+    """Scoring terms of models side by side: model a's K components are
+    columns (or entries) a*K to a*K + K - 1 of each term."""
 
-    Each row is sorted before the shift, so its last entry is the shift;
-    shift, clamp and exp are monotone, so the addends stay sorted."""
-    np.copyto(work, z)
-    work.sort(axis=1)
-    shift = work[:, -1].copy()
-    np.subtract(work, shift[:, None], out=work)
-    np.maximum(work, EXP_CLAMP, out=work)
-    np.exp(work, out=work)
-    total = work.sum(axis=1)
+    half_prec_t: np.ndarray
+    mu_prec_t: np.ndarray
+    half_sq_sum: np.ndarray
+    log_norm: np.ndarray
+    log_weights: np.ndarray
+    n_models: int = 1
+
+
+def stack_models(models) -> ModelStack:
+    """A float32 stack of models of one dimension, each term rounded once
+    from float64. K is the largest component count; a model with fewer is
+    padded with zero-weight components (log w = -inf). Components are laid
+    out in the order of their parameters' bytes, so a permutation of them
+    stacks the same terms: a GEMM need not round alike at every column."""
+    if len({m.dims for m in models}) != 1:
+        raise ValueError("stacked models must share dimensions")
+    k, dims = max(m.n_components for m in models), models[0].dims
+    matrices = np.zeros((2, len(models), k, dims))  # (prec/2) and mu*prec, a row per component
+    vectors = np.zeros((3, len(models), k))  # sum(mu^2*prec)/2, log_norm, log w
+    vectors[2] = -np.inf
+    for a, m in enumerate(models):
+        params = np.column_stack([m.weights, m.means, m.variances])
+        order = np.argsort(params.view(f"V{params.itemsize * params.shape[1]}").ravel())  # by bytes
+        half_prec_t, mu_prec_t, *rest = m._terms
+        matrices[:, a, :m.n_components] = half_prec_t.T[order], mu_prec_t.T[order]
+        vectors[:, a, :m.n_components] = np.stack(rest)[:, order]
+    half_prec_t, mu_prec_t = (np.ascontiguousarray(t.reshape(-1, dims).T, dtype=np.float32) for t in matrices)
+    return ModelStack(half_prec_t, mu_prec_t, *vectors.reshape(3, -1).astype(np.float32), n_models=len(models))
+
+
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis of z, overwriting z; the result is
+    float64 whatever z's precision.
+
+    Each row is sorted first, so its last entry is the shift and the sum
+    does not depend on the order of the components; shift, clamp and exp
+    are monotone, so the addends stay sorted."""
+    z.sort(axis=-1)
+    shift = z[..., -1:].copy()
+    z -= shift
+    np.maximum(z, EXP_CLAMP if z.dtype == np.float64 else EXP_CLAMP_FLOAT32, out=z)
+    np.exp(z, out=z)
+    total = z.sum(axis=-1, dtype=np.float64)
     np.log(total, out=total)
-    total += shift
+    total += shift[..., 0]
     return total
 
 
+def stacked_frame_log_likelihoods(stack: ModelStack, X) -> np.ndarray:
+    """Per-frame log mixture density of X under each stacked model, shape
+    (N, models), in float64; the log-joint is made in the stack's precision.
+
+    Two GEMMs and four passes, in the order the module docstring gives."""
+    X, (dims, width) = _as_matrix(X), stack.half_prec_t.shape
+    if X.shape[1] != dims:
+        raise ValueError(f"feature dims {X.shape[1]} do not match model dims {dims}")
+    X = X.astype(stack.half_prec_t.dtype, copy=False)
+    z = np.matmul(X * X, stack.half_prec_t)
+    z -= np.matmul(X, stack.mu_prec_t)
+    z += stack.half_sq_sum
+    np.subtract(stack.log_norm, z, out=z)
+    z += stack.log_weights
+    return _logsumexp_rows(z.reshape(X.shape[0], stack.n_models, width // stack.n_models))
+
+
+def stacked_log_likelihoods(stack: ModelStack, X) -> np.ndarray:
+    """Total log likelihood of X under each stacked model, shape (models,):
+    each model's frame likelihoods are summed as one contiguous row, in
+    numpy's pairwise order, as mixture_log_likelihood sums a lone model's."""
+    return np.ascontiguousarray(stacked_frame_log_likelihoods(stack, X).T).sum(axis=1)
+
+
 def frame_log_likelihoods(model: GmmModel, X) -> np.ndarray:
-    """Per-frame log mixture densities, shape (N,); X may be PreparedFrames."""
-    frames = X if isinstance(X, PreparedFrames) else PreparedFrames(X)
-    log_joint, work = frames.buffers(model.n_components)
-    _log_joint(model, frames, log_joint, work)
-    return _logsumexp_rows(log_joint, work)
+    """Per-frame log mixture densities, shape (N,): the stacked kernel on the
+    one-model stack of the model's own float64 terms, in its own order."""
+    return stacked_frame_log_likelihoods(ModelStack(*model._terms), X)[:, 0]
 
 
 def mixture_log_likelihood(model: GmmModel, X) -> float:
-    """Total log likelihood of a feature matrix under the mixture."""
+    """Total log likelihood of a feature matrix under the mixture, in float64."""
     return float(frame_log_likelihoods(model, X).sum())
 
 
@@ -373,17 +408,18 @@ def em_fit(X, n_components: int, opts: EmOptions | None = None) -> tuple[GmmMode
 GMM_MAGIC = "ACGMM1"
 
 
-def save_gmm(path, model: GmmModel) -> None:
-    """Write a model as 'ACGMM1 N M' plus float64 LE weights, means, variances."""
-    with open(path, "wb") as fh:
-        records.write_record(fh, GMM_MAGIC, [model.n_components, model.dims],
-                             model.weights, model.means, model.variances)
+def save_gmm(path, model: GmmModel) -> str:
+    """Write a model as 'ACGMM1 N M' plus float64 LE weights, means, variances;
+    returns the SHA-256 of the bytes written."""
+    return records.save_record(path, GMM_MAGIC, [model.n_components, model.dims],
+                               model.weights, model.means, model.variances)
 
 
-def load_gmm(path) -> GmmModel:
-    """Read a model written by save_gmm; the round trip is bit-exact, and
-    any damage is a DataError naming the file."""
-    with open(path, "rb") as fh:
+def load_gmm(path, raw: bytes | None = None) -> GmmModel:
+    """Read a model written by save_gmm, from raw if given (the bytes the
+    caller read from path); the round trip is bit-exact, and any damage is
+    a DataError naming the file."""
+    with records.open_binary(path, raw) as fh:
         n, m = records.read_header(fh, path, GMM_MAGIC, int, int)
         if n < 1 or m < 1:
             raise DataError(f"{path}: an ACGMM1 model of {n} components in {m} dimensions")

@@ -421,10 +421,7 @@ def cmd_evaluate(manifest_path, cfg: PipelineConfig, out_dir, mode: str, allow_e
         raise ConsistencyError(
             f"model set at {model_dir} was trained under a different configuration"
         )
-    transform = None
-    if model_set.transform_ref:
-        transform = load_transform(model_dir / model_set.transform_ref)
-
+    transform = model_set.transform
     labels = model_set.labels
     index = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)

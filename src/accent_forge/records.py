@@ -10,6 +10,7 @@ naming the file.
 """
 
 import hashlib
+import io
 import math
 import os
 from pathlib import Path
@@ -29,6 +30,21 @@ def write_record(fh, magic: str, fields, *arrays) -> None:
         fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def save_record(path, magic: str, fields, *arrays) -> str:
+    """Write one record as the whole file at path; returns the hex SHA-256
+    of the bytes written."""
+    buf = io.BytesIO()
+    write_record(buf, magic, fields, *arrays)
+    Path(path).write_bytes(buf.getvalue())
+    return hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+def open_binary(path, raw: bytes | None = None):
+    """path opened for binary reading or, when given, raw: the bytes already
+    read from it, as a stream."""
+    return open(path, "rb") if raw is None else io.BytesIO(raw)
+
+
 def read_header(fh, path, magic: str, *types) -> list:
     """The next header's fields, each converted by its type."""
     line = fh.readline()
@@ -45,7 +61,8 @@ def read_header(fh, path, magic: str, *types) -> list:
 def read_floats(fh, path, magic: str, *shape) -> np.ndarray:
     """The next float64 array of this shape, never read past the end of the file."""
     nbytes = 8 * math.prod(shape)
-    payload = fh.read(nbytes) if nbytes <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
+    size = fh.getbuffer().nbytes if isinstance(fh, io.BytesIO) else os.fstat(fh.fileno()).st_size
+    payload = fh.read(nbytes) if nbytes <= size - fh.tell() else b""
     if len(payload) != nbytes:
         raise DataError(f"{path}: truncated {magic} payload")
     return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()

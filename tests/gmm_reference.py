@@ -151,3 +151,24 @@ def reference_em_fit(X, n_components, opts):
 
     trace.append(float(np.sum(reference_frame_log_likelihoods(model, X))))
     return model, trace
+
+
+def float32_frame_bounds(model, X) -> np.ndarray:
+    """Per-frame bound on how far float32 scoring may move a frame's log
+    mixture density (the bound the gmm module states): (d + 8) u times the
+    largest term magnitude M of a weighted component, plus 96 u for the
+    shifted exp and its sum, where M is x^2 . prec/2 + |x| . |mu*prec| +
+    sum(mu^2 prec)/2 + |log_norm| + |log w|."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    prec = 1.0 / model.variances
+    log_norm = -0.5 * (model.dims * LOG_2PI + np.sum(np.log(model.variances), axis=1))
+    live = model.weights > 0
+    magnitude = (
+        (X * X) @ (0.5 * prec[live]).T
+        + np.abs(X) @ np.abs(model.means * prec)[live].T
+        + 0.5 * np.sum(model.means * model.means * prec, axis=1)[live]
+        + np.abs(log_norm[live])
+        + np.abs(np.log(model.weights[live]))
+    )
+    u = 2.0 ** -24  # float32 unit roundoff
+    return u * ((model.dims + 8) * magnitude.max(axis=1) + 96.0)

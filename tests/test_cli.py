@@ -888,12 +888,12 @@ def reference_projection(ws, cfg, entry):
 
 def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatch):
     """Over all of vowel-hlda training, the vowel models score each distinct
-    (dev utterance, vowel, kept rows) once per accent: subset selection and
-    every τ grid point read one shared table."""
+    (dev utterance, vowel, kept rows) once, in one stacked call against every
+    accent: subset selection and every τ grid point read one shared table."""
     manifest, cfg, prepared = shared_ws
     ws = fresh_workspace(prepared, tmp_path)
     tables = []
-    real_table, real_score = accent._dev_scores, accent.mixture_log_likelihood
+    real_table, real_score = accent._dev_scores, accent.stacked_log_likelihoods
 
     def recording(dev, model_set, vowels, tau, memo):
         tables.append((dev, vowels, tau))
@@ -901,7 +901,9 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
 
     calls = []
     monkeypatch.setattr(accent, "_dev_scores", recording)
-    monkeypatch.setattr(accent, "mixture_log_likelihood", lambda m, X: calls.append(1) or real_score(m, X))
+    # one stacked call scores every accent; a vowel's stack and the kept rows name the key
+    monkeypatch.setattr(accent, "stacked_log_likelihoods",
+                        lambda stack, X: calls.append((id(stack), X.tobytes())) or real_score(stack, X))
     pipeline.cmd_train(manifest, cfg, ws, "vowel-hlda")
 
     _, dev_entries = split_ids(manifest, cfg, "dev")
@@ -918,7 +920,7 @@ def test_vowel_training_scores_each_dev_key_once(shared_ws, tmp_path, monkeypatc
                     keys.add((ui, v, tuple(frames)))
     assert len(tables) > 2  # the selection table and at least two τ grid points
     assert tables[0][2] == float("-inf") and tables[1][2] == float("-inf")
-    assert len(calls) == len(keys) * len(parse_manifest(manifest).inventory)
+    assert len(calls) == len(set(calls)) == len(keys)
 
 
 def loaded_after(statement: str, package: str) -> str:

@@ -12,20 +12,24 @@ from accent_forge.gmm import (
     _kmeans,
     EXP_CLAMP,
     EXP_CLAMPED,
+    EXP_CLAMP_FLOAT32,
     EXP_ZERO_BELOW,
     EmOptions,
     GmmModel,
     MIN_VARIANCE,
-    PreparedFrames,
     em_fit,
     frame_log_likelihoods,
     load_gmm,
     mixture_log_likelihood,
     save_gmm,
+    stack_models,
+    stacked_frame_log_likelihoods,
+    stacked_log_likelihoods,
 )
 from gmm_reference import (
     component_log_densities,
     component_posteriors,
+    float32_frame_bounds,
     gaussian_log_density,
     logsumexp_rows,
     mean_log_likelihood,
@@ -547,24 +551,22 @@ def kernel_model(rng, k, d, floored):
 @pytest.mark.parametrize("n", [1, 20, 400])
 @pytest.mark.parametrize("d", [1, 20, 39])
 def test_kernel_scores_match_reference(n, d):
-    """Frame likelihoods and totals equal the reference bit for bit, over
-    one PreparedFrames shared by models of K = 1, 8, 64 and back, on frames
-    with and without arguments below EXP_ZERO_BELOW."""
+    """Frame likelihoods and totals equal the reference bit for bit, for
+    models of K = 1, 8, 64 and back, on frames with and without arguments
+    below EXP_ZERO_BELOW."""
     rng = np.random.default_rng(100 * n + d)
     branches = set()
     for far in (False, True):
         X = rng.standard_normal((n, d))
         if far:
             X[rng.uniform(size=n) < 0.3] *= 40.0
-        frames = PreparedFrames(X)
         for k, floored in ((1, False), (8, False), (64, True), (8, True), (64, False)):
             model = kernel_model(rng, k, d, floored)
             expected = reference_frame_log_likelihoods(model, X)
             log_joint = component_log_densities(model, X) + np.log(model.weights)[None, :]
             branches.add(bool(np.any(log_joint - log_joint.max(axis=1, keepdims=True) < EXP_ZERO_BELOW)))
-            assert frame_log_likelihoods(model, frames).tobytes() == expected.tobytes()
             assert frame_log_likelihoods(model, X).tobytes() == expected.tobytes()
-            assert mixture_log_likelihood(model, frames) == float(np.sum(expected))
+            assert mixture_log_likelihood(model, X) == float(np.sum(expected))
     assert branches == {False, True}
 
 
@@ -577,6 +579,76 @@ def test_kernel_em_fit_matches_reference(n, k, d):
     model, trace = em_fit(X, k, opts)
     ref_model, ref_trace = reference_em_fit(X, k, opts)
     assert_close(model, trace, ref_model, ref_trace)
+
+
+def float32_set(rng, case, d):
+    """Models scored together as one float32 stack: some components
+    floored (narrow), two of eight with zero weight, or a capped set of
+    unequal component counts, padded to the largest."""
+    if case == "floored":
+        return [kernel_model(rng, 64, d, True) for _ in range(3)]
+    if case == "zero_weight":
+        base = kernel_model(rng, 8, d, False)
+        weights = base.weights.copy()
+        weights[[0, 5]] = 0.0
+        return [GmmModel(weights / weights.sum(), base.means, base.variances), kernel_model(rng, 8, d, False)]
+    return [kernel_model(rng, k, d, False) for k in (64, 5, 1, 17)]
+
+
+@pytest.mark.parametrize("n", [1, 20, 400])
+@pytest.mark.parametrize("case", ["floored", "zero_weight", "capped"])
+def test_float32_stack_scores_within_the_stated_bound(n, case):
+    # every frame within float32_frame_bounds of the float64 reference, and
+    # every total, a float64 sum of its frames, within the sum of their bounds
+    rng = np.random.default_rng(900 + n)
+    for d in (1, 20, 39):
+        models = float32_set(rng, case, d)
+        X = rng.standard_normal((n, d)) * 1.5
+        stack = stack_models(models)
+        frame_ll = stacked_frame_log_likelihoods(stack, X)
+        totals = stacked_log_likelihoods(stack, X)
+        assert frame_ll.shape == (n, len(models)) and frame_ll.dtype == totals.dtype == np.float64
+        for a, model in enumerate(models):
+            with np.errstate(divide="ignore"):  # the reference takes log 0 for a zero weight
+                expected = reference_frame_log_likelihoods(model, X)
+            bound = float32_frame_bounds(model, X)
+            assert np.all(np.abs(frame_ll[:, a] - expected) <= bound)
+            assert totals[a] == frame_ll[:, a].sum()
+            assert abs(totals[a] - expected.sum()) <= bound.sum()
+
+
+@pytest.mark.parametrize("d", [2, 20, 39])
+def test_float32_stack_scores_ignore_the_order_of_components(d):
+    rng = np.random.default_rng(950 + d)
+    models = float32_set(rng, "capped", d)
+    X = rng.standard_normal((400, d)) * 1.5
+    permuted = []
+    for m in models:
+        p = rng.permutation(m.n_components)
+        permuted.append(GmmModel(m.weights[p], m.means[p], m.variances[p]))
+    expected = stacked_frame_log_likelihoods(stack_models(models), X)
+    assert stacked_frame_log_likelihoods(stack_models(permuted), X).tobytes() == expected.tobytes()
+
+
+def test_stacked_scoring_refuses_other_dims():
+    # the ValueError that evaluate skips an utterance on
+    rng = np.random.default_rng(960)
+    stack = stack_models([random_model(rng, 2, 3), random_model(rng, 4, 3)])
+    with pytest.raises(ValueError, match="feature dims 4 do not match model dims 3"):
+        stacked_log_likelihoods(stack, rng.standard_normal((5, 4)))
+    with pytest.raises(ValueError, match="share dimensions"):
+        stack_models([random_model(rng, 2, 3), random_model(rng, 2, 4)])
+
+
+def test_float32_exp_stays_normal_at_the_clamp():
+    # float32 np.exp gives subnormals below log(2^-126) = -87.34, and those
+    # take a slow path; the clamp keeps every argument above that, at any
+    # array length and position
+    assert EXP_CLAMP_FLOAT32 >= -87.3 and np.float32(EXP_CLAMP_FLOAT32) > np.log(np.finfo(np.float32).tiny)
+    for n in (1, 7, 8, 15, 16, 17, 64, 1001):
+        out = np.exp(np.full(n, EXP_CLAMP_FLOAT32, dtype=np.float32))
+        assert out.dtype == np.float32 and np.all(out >= np.finfo(np.float32).tiny)
+        assert np.all(out == out[0])
 
 
 # row widths around numpy's pairwise-sum blocks (8 and 128) and the
@@ -610,7 +682,7 @@ def test_clamped_logsumexp_matches_exact_exp(k):
         if k > 1:
             assert np.any(z - z.max(axis=1, keepdims=True) < EXP_CLAMP)
         expected = logsumexp_rows(z)
-        assert gmm._logsumexp_rows(z, np.empty_like(z)).tobytes() == expected.tobytes()
+        assert gmm._logsumexp_rows(z.copy()).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("k", LSE_WIDTHS)
@@ -711,14 +783,6 @@ def test_model_arrays_and_terms_cannot_change():
     means[:] = 5.0
     variances[:] = 9.0
     assert frame_log_likelihoods(model, X).tobytes() == before.tobytes()
-
-
-def test_prepared_frames_read_as_their_values():
-    X = np.random.default_rng(24).standard_normal((6, 4))
-    frames = PreparedFrames(X)
-    assert frames.values is X  # the caller's frames, not a copy
-    assert frames.squares.tobytes() == (X * X).tobytes()
-    assert frames.buffers(5) is frames.buffers(5) and frames.buffers(3)[0].shape == (6, 3)
 
 
 class _RecordingNumpy:
